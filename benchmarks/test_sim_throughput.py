@@ -20,9 +20,10 @@ this JSON once recorded is gone by construction), and a 16-point sweep
 that engages the persistent worker pool at ``jobs=4``. Single runs also
 record ``fastpath_hit_rate`` (the fraction of memory accesses served by
 the coherence protocol's private-hit fast path) and ``fastpath_speedup``
-(wall-clock ratio against a ``REPRO_NO_FASTPATH=1`` run in the same
-process), ``runahead`` (wall-clock ratio against a ``REPRO_NO_RUNAHEAD=1``
-single-step-scheduler run, with the run-ahead loop's ops-per-quantum
+(wall-clock ratio against a full-protocol-handler run in the same
+process, selected by the engine's test-only ``_NO_FASTPATH`` flag),
+``runahead`` (wall-clock ratio against a single-step-scheduler run,
+selected by ``_NO_RUNAHEAD``, with the run-ahead loop's ops-per-quantum
 batching factor), plus the wall-clock cost of the opt-in instrumentation
 layers:
 ``sanitize.slowdown`` (``REPRO_SANITIZE=1`` invariant sweeps) and
@@ -66,7 +67,7 @@ from repro.harness import ResultCache, make_spec, run_points
 from repro.harness.parallel import warm_pool
 from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV, vector_engagement
-from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
+from repro.sim import engine as engine_mod
 from repro.sim.vector import BACKEND_ENV, available as vector_available
 from repro.workloads.apps import kmeans
 from repro.workloads.micro import counter
@@ -144,6 +145,17 @@ def _with_env(var, fn):
     return run
 
 
+def _with_flag(flag, fn):
+    """Wrap ``fn`` to run with the engine's test-only ``flag`` set."""
+    def run():
+        setattr(engine_mod, flag, True)
+        try:
+            return fn()
+        finally:
+            setattr(engine_mod, flag, False)
+    return run
+
+
 def _sweep_specs(threads, total_ops):
     return [
         make_spec(counter.build, t, num_cores=16, commtm=commtm,
@@ -168,8 +180,6 @@ def test_sim_throughput(tmp_path, monkeypatch):
         "sweep16_seconds": {},
     }
 
-    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
-    monkeypatch.delenv(NO_RUNAHEAD_ENV, raising=False)
     monkeypatch.delenv(SANITIZE_ENV, raising=False)
     monkeypatch.delenv(OBS_ENV, raising=False)
     monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -187,8 +197,8 @@ def test_sim_throughput(tmp_path, monkeypatch):
             b, 8, backend="vector", **p)
         fns = [
             default,
-            _with_env(NO_FASTPATH_ENV, default),
-            _with_env(NO_RUNAHEAD_ENV, default),
+            _with_flag("_NO_FASTPATH", default),
+            _with_flag("_NO_RUNAHEAD", default),
         ]
         if has_vector:
             # Fourth leg of the same interleaved A/B: the vector engine

@@ -357,8 +357,8 @@ class MemorySystem:
     # bit-identical to the slow path by construction: every state
     # mutation (LRU touch, speculative bits, write versioning, silent
     # E->M upgrade) is the same code the slow path would run, in the same
-    # order. ``REPRO_NO_FASTPATH=1`` makes the engine skip them entirely
-    # (differential testing).
+    # order. The engine's full-handler table skips them entirely; it is the
+    # reference ``tests/test_fastpath_equivalence.py`` compares against.
     # ------------------------------------------------------------------
 
     def fast_load(self, core: int, addr: int, speculative: bool):

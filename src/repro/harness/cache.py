@@ -3,13 +3,16 @@
 The simulator is deterministic: a :class:`~repro.harness.parallel.PointSpec`
 fully determines its :class:`~repro.harness.runner.ExperimentResult`. The
 cache therefore keys results by a content fingerprint of the spec —
-the SHA-256 of its canonical form plus the package version — and figure
-regeneration after the first run costs only unpickling.
+the SHA-256 of its canonical form plus a digest of the simulator's own
+sources — and figure regeneration after the first run costs only
+unpickling.
 
 Invalidation is structural: anything that changes the canonical form (a
-workload parameter, a config override, the seed) or the package version
-changes the fingerprint, so stale entries are never *read*; they are merely
-left on disk until the directory is cleared.
+workload parameter, a config override, the seed) or any simulator source
+file changes the fingerprint, so stale entries are never *read*; they are
+merely left on disk until the directory is cleared. The source digest
+covers every ``.py`` file of the package except the harness, the obs
+layer and the analysis tools, which cannot change a simulated result.
 
 The cache directory resolves, in order: explicit ``directory`` argument,
 ``REPRO_CACHE_DIR``, ``$XDG_CACHE_HOME/repro-commtm``, and finally
@@ -27,7 +30,6 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from .. import __version__
 from ..obs.hostprof import HARNESS_PROF
 from .parallel import PointSpec
 
@@ -44,9 +46,34 @@ def default_cache_dir() -> Path:
     return base / "repro-commtm"
 
 
+#: Package subdirectories left out of the source digest.
+_NOT_SIMULATOR = ("harness", "obs", "analysis")
+
+#: Source digest of this process, computed by the first fingerprint.
+_source_digest: Optional[str] = None
+
+
+def source_digest() -> str:
+    """SHA-256 over the simulator's sources (path and content of every
+    ``.py`` file under the package, minus ``_NOT_SIMULATOR``). Computed
+    once per process, on first use rather than at import."""
+    global _source_digest
+    if _source_digest is None:
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root)
+            if rel.parts[0] in _NOT_SIMULATOR:
+                continue
+            digest.update(rel.as_posix().encode("utf-8") + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        _source_digest = digest.hexdigest()
+    return _source_digest
+
+
 def fingerprint(spec: PointSpec) -> str:
     """Content hash identifying a point across processes and sessions."""
-    payload = f"{__version__}\n{spec.canonical()}"
+    payload = f"{source_digest()}\n{spec.canonical()}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

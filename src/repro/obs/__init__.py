@@ -22,7 +22,7 @@ breakdowns (Fig. 17), wasted-work attribution (Fig. 18), traffic splits
   consumed by ``python -m repro.harness --report-json`` and CI artifacts.
 * :class:`~repro.obs.hostprof.HostProfiler` — a zero-dependency *host*
   wall-clock phase accountant (epoch classify, kernel exec, strict
-  stepper, fenced replay, stats reduce; harness build/dispatch/cache
+  bursts, fenced replay, stats reduce; harness build/dispatch/cache
   phases), emitted as a versioned ``repro-obs-hostprof/1`` report
   section and an optional Perfetto host-time lane.
 
@@ -36,9 +36,9 @@ table, the protocol's hook slots and every hot path are byte-for-byte the
 code that runs without this package, so disabled-mode cycles and
 ``Stats.comparable()`` are bit-identical and throughput is unchanged.
 When on, the *interpreted* engine routes memory operations through the
-full protocol path (the same switch ``REPRO_NO_FASTPATH=1`` flips, proven
-bit-identical by ``tests/test_fastpath_equivalence.py``) so every event is
-seen at a single choke point. The *vector* backend keeps its epochs and
+full protocol path (proven bit-identical to the fast path by
+``tests/test_fastpath_equivalence.py``) so every event is seen at a single
+choke point. The *vector* backend keeps its epochs and
 synthesizes the same emissions at their exact strict positions (deferring
 the order-sensitive ones; see ``repro.sim.vector.engine``), proven
 payload-identical by ``tests/test_vector_obs_parity.py`` — simulated

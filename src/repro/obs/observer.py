@@ -4,10 +4,9 @@ The :class:`~repro.core.machine.Machine` installs an Observer when
 ``observe=True`` (or ``REPRO_OBS=1``); the engine, the conflict manager,
 and the memory system each hold a slot that is ``None`` otherwise, so the
 disabled mode adds no work anywhere. When installed, the engine routes
-memory operations through the full protocol handlers (the
-``REPRO_NO_FASTPATH`` path, proven bit-identical to the fast path by
-``tests/test_fastpath_equivalence.py``) so every protocol event passes a
-single choke point.
+memory operations through the full protocol handlers (proven
+bit-identical to the fast path by ``tests/test_fastpath_equivalence.py``)
+so every protocol event passes a single choke point.
 
 Abort attribution is assembled from three call sites, in order:
 

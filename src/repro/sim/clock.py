@@ -7,12 +7,11 @@ cycle-level simulation at memory-operation granularity.
 
 This class is the *single-step reference API*: one
 ``next_core()`` / step / ``reschedule()`` transaction per simulated
-operation. The engine's default run-ahead scheduler operates on the same
-heap (``_heap`` / ``_done``) in quanta — popping a core once and stepping it
+operation. The engine's run-ahead scheduler operates on the same heap
+(``_heap`` / ``_done``) in quanta — popping a core once and stepping it
 until its clock passes the next stamp under the identical ``(stamp, core)``
-tie-break — and ``REPRO_NO_RUNAHEAD=1`` falls back to driving this API
-directly. The differential tests hold both to the same op-level
-interleaving.
+tie-break. The engine's stepped reference loop drives this API directly,
+and the differential tests hold both to the same op-level interleaving.
 """
 
 from __future__ import annotations

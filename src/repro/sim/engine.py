@@ -26,15 +26,18 @@ core)`` lexicographic tie-break the heap would apply), and only then
 touches the heap again. One heap transaction per quantum instead of one per
 op, and the popped core can never hit the stale-entry requeue path. The
 interleaving is *identical* to one-pop-per-op scheduling — see
-``_run_runahead`` for the invariant argument — and ``REPRO_NO_RUNAHEAD=1``
-selects the stepped reference loop (``CoreClocks.next_core`` per op) for
-differential testing, mirroring ``REPRO_NO_FASTPATH``.
+``_scheduler`` for the invariant argument. ``_scheduler`` is the only
+scheduler loop: the interpreted run drives it with an unbounded op budget,
+and the vector backend (:mod:`repro.sim.vector`) drives it in bursts
+between epoch attempts. The stepped loop (``_run_stepped``, one
+``CoreClocks.next_core`` per op) and the full-protocol handler table are
+kept as the references the differential tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -61,30 +64,15 @@ from .trace import EventKind
 #: yielding ``None`` must still be rejected as an unknown operation).
 _FINISHED = object()
 
-#: Escape-hatch environment variable: any value other than ""/"0"/"false"
-#: forces every memory operation down the full protocol path (differential
-#: testing of the private-hit fast path). Read per Engine so tests can flip
-#: it between runs in one process.
-NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
+#: Test-only switches selecting the references the differential oracles
+#: compare against: ``_NO_RUNAHEAD`` makes ``Engine.run`` use the stepped
+#: scheduler, ``_NO_FASTPATH`` makes new Engines bind the full-protocol
+#: memory handlers. Tests monkeypatch them; nothing else sets them.
+_NO_RUNAHEAD = False
+_NO_FASTPATH = False
 
-
-def fastpath_enabled() -> bool:
-    return os.environ.get(NO_FASTPATH_ENV, "").strip().lower() in (
-        "", "0", "false")
-
-
-#: Escape-hatch environment variable: any value other than ""/"0"/"false"
-#: replaces the run-ahead scheduler with the stepped reference loop (one
-#: ``CoreClocks.next_core()`` / step / ``reschedule()`` transaction per
-#: simulated operation). Same differential-testing role as
-#: REPRO_NO_FASTPATH; read per Engine.run so tests can flip it per run.
-NO_RUNAHEAD_ENV = "REPRO_NO_RUNAHEAD"
-
-
-def runahead_enabled() -> bool:
-    return os.environ.get(NO_RUNAHEAD_ENV, "").strip().lower() in (
-        "", "0", "false")
-
+#: Op budget that never runs out: ``_scheduler`` drains the ready heap.
+_UNBOUNDED = sys.maxsize
 
 #: Adaptive fast-path gate. Attempting the private-hit fast path costs a
 #: failed lookup before the full protocol path on every miss, so on
@@ -178,9 +166,7 @@ class Engine:
         self._tx_commit_cycles = self.config.tx_commit_cycles
         # Memory operations dispatch to the private-hit fast path by
         # default; the ``_op_*_fast`` handlers fall back to the full
-        # handlers on anything but a stable private hit. REPRO_NO_FASTPATH
-        # swaps in the full handlers wholesale (zero per-op overhead in
-        # either mode).
+        # handlers on anything but a stable private hit.
         self._fast_load = self.msys.fast_load
         self._fast_store = self.msys.fast_store
         self._fast_labeled_load = self.msys.fast_labeled_load
@@ -195,25 +181,34 @@ class Engine:
         self._obs_tx_abort = obs.tx_abort if obs is not None else _obs_noop
         # Observing forces the full handlers: fast private hits never reach
         # MemorySystem's public ops where the protocol-level hooks live.
-        # This is the same switch REPRO_NO_FASTPATH flips, proven
-        # bit-identical by tests/test_fastpath_equivalence.py — so enabling
-        # observability cannot change simulated results.
+        # The full handlers are proven bit-identical to the fast ones by
+        # tests/test_fastpath_equivalence.py — so enabling observability
+        # cannot change simulated results.
         # Whether memory ops currently attempt the fast path (drives the
         # host_fastpath_misses attempt counter) and whether the adaptive
         # gate still has a decision to make (one-shot, at the end of the
         # warmup window).
-        self._fastpath_attempting = fastpath_enabled() and obs is None
+        self._fastpath_attempting = not _NO_FASTPATH and obs is None
         self._gate_pending = self._fastpath_attempting
         if self._fastpath_attempting:
+            if self._commtm:
+                labeled_load = self._op_labeled_load_fast
+                labeled_store = self._op_labeled_store_fast
+                gather = self._op_load_gather_fast
+            else:
+                # The baseline HTM executes labeled operations as
+                # conventional loads and stores.
+                labeled_load = gather = self._op_load_fast
+                labeled_store = self._op_store_fast
             self._handlers = {
                 Atomic: self._op_atomic,
                 Work: self._op_work,
                 Barrier: self._op_barrier,
                 Load: self._op_load_fast,
                 Store: self._op_store_fast,
-                LabeledLoad: self._op_labeled_load_fast,
-                LabeledStore: self._op_labeled_store_fast,
-                LoadGather: self._op_load_gather_fast,
+                LabeledLoad: labeled_load,
+                LabeledStore: labeled_store,
+                LoadGather: gather,
             }
             # When sanitizing, checkpoint after every memory op. Fast-path
             # private hits never reach MemorySystem's public ops (where the
@@ -253,33 +248,75 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        if runahead_enabled():
-            self._run_runahead()
-        else:
+        if _NO_RUNAHEAD:
             self._run_stepped()
+        else:
+            scheduler = self._scheduler()
+            next(scheduler)
+            scheduler.send(_UNBOUNDED)
+            scheduler.close()
         if not self.clocks.all_finished():
             raise SimulationError("no runnable core but simulation not finished")
         self.stats.parallel_cycles = self.clocks.max_cycle
 
-    def _run_runahead(self) -> None:
-        # Run-ahead (leapfrog) scheduler: pop the minimum core once, then
-        # keep stepping *that core* in a tight inner loop until its clock
-        # passes the next heap stamp. One heap transaction per quantum
-        # instead of one per op, and the running core never takes the
-        # stale-entry requeue path.
-        #
-        # Why the interleaving is bit-identical to one-pop-per-op: every
-        # unfinished, unblocked core other than the running one has exactly
-        # one heap entry at (a lower bound of) its current clock, so the
-        # one-pop loop would re-pop the running core immediately iff
-        # ``(cycles[core], core) <= heap[0]`` lexicographically. That is
-        # precisely the inner loop's continue condition. When ``heap[0]``
-        # is stale (its core was charged since being queued), the true
-        # stamp is *larger*, so breaking out is conservative: the outer
-        # loop re-pops, requeues the stale entry at its true time, and
-        # hands the quantum straight back. ``heap[0]`` is re-read every
-        # iteration because a step can push entries (barrier release
-        # reschedules the waiters).
+    #: Deferred obs commit emissions, a ``(cycle, core, ...)`` min-heap.
+    #: Only the vector backend defers (it gives each instance its own
+    #: list); here it stays empty, so ``_scheduler``'s check is one
+    #: truthiness test.
+    _obs_deferred = ()
+
+    def _fire_deferred_obs(self, t: int, core: int) -> None:
+        """Emit every deferred synthesized commit whose strict position
+        ``(cycle, core)`` does not follow the event about to execute at
+        ``(t, core)``. The tie (same cycle, same core) fires first: a
+        commit emission precedes the same core's next operation in
+        program order. Cross-core ties resolve by core index, exactly
+        the strict scheduler's ``(stamp, core)`` tie-break."""
+        deferred = self._obs_deferred
+        fire = self._obs.fused_tx_commit
+        heappop = heapq.heappop
+        while deferred and (deferred[0][0], deferred[0][1]) <= (t, core):
+            e = heappop(deferred)
+            fire(e[1], e[0], e[2], e[3], e[4], e[5], e[6])
+
+    def _scheduler(self):
+        """The run-ahead scheduler, as a generator. Prime it with
+        ``next()``; then ``send(budget)`` runs up to ``budget`` simulated
+        steps and yields True while work remains, False once the ready
+        heap is empty. ``close()`` lands its host counters. The
+        interpreted run sends one ``_UNBOUNDED`` budget; the vector
+        backend sends short bursts between epoch attempts. A generator
+        rather than a method so the hot locals bind once per run, not
+        once per burst.
+
+        Run-ahead (leapfrog): pop the minimum core once, then keep
+        stepping *that core* in a tight inner loop until its clock passes
+        the next heap stamp. One heap transaction per quantum instead of
+        one per op, and the running core never takes the stale-entry
+        requeue path.
+
+        Why the interleaving is bit-identical to one-pop-per-op: every
+        unfinished, unblocked core other than the running one has exactly
+        one heap entry at (a lower bound of) its current clock, so the
+        one-pop loop would re-pop the running core immediately iff
+        ``(cycles[core], core) <= heap[0]`` lexicographically. That is
+        precisely the inner loop's continue condition. When ``heap[0]``
+        is stale (its core was charged since being queued), the true
+        stamp is *larger*, so breaking out is conservative: the outer
+        loop re-pops, requeues the stale entry at its true time, and
+        hands the quantum straight back. ``heap[0]`` is re-read every
+        iteration because a step can push entries (barrier release
+        reschedules the waiters). A spent budget parks the running core
+        back in the heap, which restores the one-entry invariant.
+
+        Three hooks serve the vector backend and are inert under the
+        interpreter: an op an epoch pulled but did not execute
+        (``runner.pulled``) is consumed before the generator resumes, and
+        dropped when its transaction aborted (replay re-creates it); a
+        popped entry for a blocked core is a stray duplicate left by an
+        in-epoch barrier release, and is discarded (every unblock path
+        reschedules); and deferred obs commits fire at their strict
+        position."""
         clocks = self.clocks
         heap = clocks._heap
         done = clocks._done
@@ -288,85 +325,111 @@ class Engine:
         tx_active = self._tx_active
         handlers = self._handlers
         heappop = heapq.heappop
+        heappush = heapq.heappush
         # push + pop-min in one sift: the quantum hand-off and the
         # stale-entry requeue both replace a heappush/heappop pair.
         heappushpop = heapq.heappushpop
         finished = _FINISHED
+        deferred = self._obs_deferred
         batches = 0
         ops = 0
 
-        if not heap:
+        try:
+            limit = yield None
+            while True:
+                if not heap:
+                    limit = ops + (yield False)
+                    continue
+                stamp, core = heappop(heap)
+                while True:
+                    if done[core] or runners[core].blocked:
+                        if not heap:
+                            break  # outer loop reports the drain
+                        stamp, core = heappop(heap)
+                        continue
+                    c = cycles[core]
+                    if stamp < c:
+                        # Stale entry (core was charged since being
+                        # queued); requeue at its true time to preserve
+                        # min-clock order.
+                        if heap:
+                            stamp, core = heappushpop(heap, (c, core))
+                        else:
+                            stamp = c
+                        continue
+
+                    runner = runners[core]
+                    batches += 1
+                    while True:
+                        ops += 1
+                        if deferred and (deferred[0][0], deferred[0][1]) \
+                                <= (cycles[core], core):
+                            self._fire_deferred_obs(cycles[core], core)
+                        tx = tx_active[core]
+                        if tx is not None and tx.aborted:
+                            runner.pulled = None
+                            runner.pulled_value = None
+                            self._restart_tx(runner, tx)
+                        else:
+                            op = runner.pulled
+                            if op is None:
+                                value = runner.pending_value
+                                runner.pending_value = None
+                                try:
+                                    op = runner.send(value)
+                                except StopIteration as stop:
+                                    self._finish_frame(runner, stop.value)
+                                    op = finished
+                            else:
+                                runner.pulled = None
+                                if op is finished:
+                                    value = runner.pulled_value
+                                    runner.pulled_value = None
+                                    self._finish_frame(runner, value)
+                            if op is not finished:
+                                try:
+                                    handler = handlers[op.__class__]
+                                except KeyError:
+                                    handler = self._resolve_handler(op)
+                                handler(runner, op)
+
+                        if runner.blocked or done[core]:
+                            break
+                        if ops >= limit:
+                            heappush(heap, (cycles[core], core))
+                            limit = ops + (yield True)
+                            runner = None  # fresh pop on resume
+                            break
+                        c = cycles[core]
+                        if heap:
+                            top = heap[0]
+                            if c > top[0] or (c == top[0] and core > top[1]):
+                                # Another core's turn (or a stale entry to
+                                # clean up): hand off, taking the new
+                                # minimum in the same heap transaction.
+                                stamp, core = heappushpop(heap, (c, core))
+                                break
+
+                    if runner is None:
+                        break
+                    if runner.blocked or done[runner.core]:
+                        # The core we were stepping left the ready set
+                        # (barrier or finished) without handing off; pull
+                        # the next one. (After a hand-off, ``core`` is
+                        # already the freshly popped entry and the loop
+                        # top vets it.)
+                        if not heap:
+                            break
+                        stamp, core = heappop(heap)
+        finally:
             self.stats.host_runahead_batches += batches
             self.stats.host_runahead_ops += ops
-            return
-        stamp, core = heappop(heap)
-        while True:
-            if done[core]:
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-                continue
-            c = cycles[core]
-            if stamp < c:
-                # Stale entry (core was charged since being queued); requeue
-                # at its true time to preserve min-clock order.
-                if heap:
-                    stamp, core = heappushpop(heap, (c, core))
-                else:
-                    stamp = c
-                continue
-
-            runner = runners[core]
-            batches += 1
-            while True:
-                ops += 1
-                tx = tx_active[core]
-                if tx is not None and tx.aborted:
-                    self._restart_tx(runner, tx)
-                else:
-                    value = runner.pending_value
-                    runner.pending_value = None
-                    try:
-                        op = runner.send(value)
-                    except StopIteration as stop:
-                        self._finish_frame(runner, stop.value)
-                        op = finished
-                    if op is not finished:
-                        try:
-                            handler = handlers[op.__class__]
-                        except KeyError:
-                            handler = self._resolve_handler(op)
-                        handler(runner, op)
-
-                if runner.blocked or done[core]:
-                    break
-                c = cycles[core]
-                if heap:
-                    top = heap[0]
-                    if c > top[0] or (c == top[0] and core > top[1]):
-                        # Another core's turn (or a stale entry to clean
-                        # up): hand off, taking the new minimum in the
-                        # same heap transaction.
-                        stamp, core = heappushpop(heap, (c, core))
-                        break
-
-            if runner.blocked or done[runner.core]:
-                # The core we were stepping left the ready set (barrier or
-                # finished) without handing off; pull the next one. (After
-                # a hand-off, ``core`` is already the freshly popped entry
-                # and the loop top vets it.)
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-
-        self.stats.host_runahead_batches += batches
-        self.stats.host_runahead_ops += ops
 
     def _run_stepped(self) -> None:
-        # Reference scheduler (REPRO_NO_RUNAHEAD=1): one CoreClocks
-        # transaction — next_core() / step / reschedule() — per simulated
-        # operation. The differential tests hold this loop and
-        # _run_runahead to identical interleavings, cycle counts and stats.
+        # Reference scheduler (test-only, ``_NO_RUNAHEAD``): one
+        # CoreClocks transaction — next_core() / step / reschedule() — per
+        # simulated operation. The differential tests hold this loop and
+        # ``_scheduler`` to identical interleavings, cycle counts and stats.
         clocks = self.clocks
         runners = self.runners
         while True:
@@ -380,8 +443,8 @@ class Engine:
 
     def _step_core(self, runner: ThreadRunner) -> None:
         """Advance one core by one simulated operation (or one abort
-        restart). Shared by the stepped loop; the run-ahead loop inlines
-        the same logic."""
+        restart) for the stepped loop; ``_scheduler`` inlines the same
+        logic."""
         tx = self._tx_active[runner.core]
         if tx is not None and tx.aborted:
             self._restart_tx(runner, tx)
@@ -399,12 +462,6 @@ class Engine:
         handler(runner, op)
 
     # ------------------------------------------------------------------
-
-    def _dispatch(self, runner: ThreadRunner, op) -> None:
-        handler = self._handlers.get(op.__class__)
-        if handler is None:
-            handler = self._resolve_handler(op)
-        handler(runner, op)
 
     def _resolve_handler(self, op):
         """Memoize a subclassed op (e.g. OrderedAtomic) into the table."""
@@ -559,108 +616,70 @@ class Engine:
                 return
         self._op_store(runner, op)
 
+    # The CommTM labeled handlers below are bound only when CommTM is
+    # enabled (the baseline binds the conventional handlers above); a
+    # restarted transaction with labels disabled takes the conventional
+    # route through those same handlers.
+
     def _op_labeled_load_fast(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
-        if self._commtm and not (tx is not None and tx.labels_disabled):
-            fast = self._fast_labeled_load(core, op.addr, op.label,
-                                           tx is not None)
-            if fast is not None:
-                cycles = fast[1]
-                stats = self.stats
-                stats.instructions += 1
-                stats.labeled_instructions += 1
-                stats.labeled_by_label[op.label.name] += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                    runner.pending_value = fast[0]
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                    runner.pending_value = fast[0]
-                self._cycles[core] += cycles
-                return
-        else:  # conventional route (baseline HTM / disabled labels)
-            fast = self._fast_load(core, op.addr, tx is not None)
-            if fast is not None:
-                cycles = fast[1]
-                self.stats.instructions += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                    runner.pending_value = fast[0]
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                    runner.pending_value = fast[0]
-                self._cycles[core] += cycles
-                return
-        self._op_labeled_load(runner, op)
+        if tx is not None and tx.labels_disabled:
+            self._op_load_fast(runner, op)
+            return
+        fast = self._fast_labeled_load(core, op.addr, op.label,
+                                       tx is not None)
+        if fast is None:
+            self._op_labeled_load(runner, op)
+            return
+        cycles = fast[1]
+        stats = self.stats
+        stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
+        if tx is None:
+            self._breakdown[core].non_tx += cycles
+            runner.pending_value = fast[0]
+        elif tx.aborted:
+            self._breakdown[core].tx_aborted += cycles
+            stats.wasted_by_cause[tx.abort_cause] += cycles
+        else:
+            self._breakdown[core].tx_committed += cycles
+            tx.cycles_this_attempt += cycles
+            runner.pending_value = fast[0]
+        self._cycles[core] += cycles
 
     def _op_labeled_store_fast(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
-        if self._commtm and not (tx is not None and tx.labels_disabled):
-            cycles = self._fast_labeled_store(core, op.addr, op.label,
-                                              op.value, tx is not None)
-            if cycles is not None:
-                stats = self.stats
-                stats.instructions += 1
-                stats.labeled_instructions += 1
-                stats.labeled_by_label[op.label.name] += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                self._cycles[core] += cycles
-                return
-        elif tx is None or self._eager:  # conventional eager store route
-            cycles = self._fast_store(core, op.addr, op.value,
-                                      tx is not None)
-            if cycles is not None:
-                self.stats.instructions += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                self._cycles[core] += cycles
-                return
-        self._op_labeled_store(runner, op)
+        if tx is not None and tx.labels_disabled:
+            self._op_store_fast(runner, op)
+            return
+        cycles = self._fast_labeled_store(core, op.addr, op.label,
+                                          op.value, tx is not None)
+        if cycles is None:
+            self._op_labeled_store(runner, op)
+            return
+        stats = self.stats
+        stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
+        if tx is None:
+            self._breakdown[core].non_tx += cycles
+        elif tx.aborted:
+            self._breakdown[core].tx_aborted += cycles
+            stats.wasted_by_cause[tx.abort_cause] += cycles
+        else:
+            self._breakdown[core].tx_committed += cycles
+            tx.cycles_this_attempt += cycles
+        self._cycles[core] += cycles
 
     def _op_load_gather_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            fast = self._fast_load(core, op.addr, tx is not None)
-            if fast is not None:
-                cycles = fast[1]
-                self.stats.instructions += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                    runner.pending_value = fast[0]
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                    runner.pending_value = fast[0]
-                self._cycles[core] += cycles
-                return
-        self._op_load_gather(runner, op)
+        tx = self._tx_active[runner.core]
+        if tx is not None and tx.labels_disabled:
+            self._op_load_fast(runner, op)
+        else:
+            self._op_load_gather(runner, op)
 
     def _op_load(self, runner: ThreadRunner, op) -> None:
         core = runner.core
@@ -859,8 +878,9 @@ class Engine:
             )
         tx_frame = runner.frames.pop()
         atomic = tx_frame.atomic
-        self._trace(self._cycles[core], core, EventKind.TX_ABORT,
-                    detail=str(tx.abort_cause))
+        if self._tracing:
+            self._trace(self._cycles[core], core, EventKind.TX_ABORT,
+                        detail=str(tx.abort_cause))
 
         if tx.attempts >= self.config.max_restarts:
             raise SimulationError(

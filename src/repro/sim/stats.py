@@ -101,7 +101,7 @@ class Stats:
     host_fastpath_hits: int = 0
     #: Memory operations that *attempted* the fast path and fell through to
     #: the full protocol path. Not counted when the fast path is disabled
-    #: (``REPRO_NO_FASTPATH``, obs mode) or adaptively gated off — so
+    #: (obs mode, or the full-handler reference) or adaptively gated off — so
     #: ``hits + misses`` is the number of genuine attempts.
     host_fastpath_misses: int = 0
     #: True when the engine's adaptive gate turned the fast path off
@@ -110,8 +110,9 @@ class Stats:
     host_fastpath_gated: bool = False
     #: Scheduling quanta executed by the run-ahead scheduler — each batch
     #: is one heap transaction covering ``host_runahead_ops /
-    #: host_runahead_batches`` simulated steps on one core. Zero when
-    #: ``REPRO_NO_RUNAHEAD=1`` selects the stepped reference scheduler.
+    #: host_runahead_batches`` simulated steps on one core. Counted on both
+    #: backends (the vector backend's strict phases run the same
+    #: scheduler); zero under the stepped reference scheduler.
     host_runahead_batches: int = 0
     #: Simulated steps executed inside run-ahead batches.
     host_runahead_ops: int = 0
@@ -214,8 +215,8 @@ class Stats:
     def fastpath_hit_rate(self):
         """Fraction of fast-path *attempts* serviced by the private-hit fast
         path (host-side instrumentation). ``None`` when no attempt was made
-        — fast path disabled via ``REPRO_NO_FASTPATH``, forced off by the
-        obs layer, or the run was too short to attempt one — which is a
+        — fast path forced off by the obs layer or the full-handler
+        reference, or the run was too short to attempt one — which is a
         different situation from "enabled but never hit" (0.0). Under the
         vector backend the counters cover only the strict (per-op) phases —
         epoch ops hit by construction and are not counted — so a ratio
@@ -229,7 +230,7 @@ class Stats:
     @property
     def runahead_ops_per_batch(self):
         """Mean simulated steps per run-ahead scheduling quantum; ``None``
-        under the stepped reference scheduler (``REPRO_NO_RUNAHEAD=1``).
+        under the stepped reference scheduler.
         Under the vector backend the quanta interleave with vectorized
         epochs, so the mean no longer describes the run: the string
         ``"n/a (vector)"`` is returned instead."""

@@ -60,19 +60,19 @@ the strict phase gets at least one op per fenced event so the whole wave
 replays as one sorted batch. Every fence increments a cause histogram
 (``Stats.host_vector_fence_causes``).
 
-**Strict phases** (:meth:`VectorEngine._strict_stepper`). An exact clone of
-``Engine._run_runahead`` — same heap, same ``(stamp, core)`` tie-break,
-same stale-entry requeue — extended to (a) consume operations the epoch
-certification pulled but did not execute, (b) discard a pulled operation
-when its transaction aborts (replay re-creates it), and (c) stop after an
-operation budget so the engine can re-attempt an epoch. The budget starts
-small and doubles every time an epoch attempt fails, so irregular regions
-(conflicts, barriers, reductions) degrade gracefully toward plain
-run-ahead execution instead of thrashing on failed certifications.
+**Strict phases** run the interpreted engine's one scheduler
+(:meth:`Engine._scheduler <repro.sim.engine.Engine._scheduler>`) — same
+heap, same ``(stamp, core)`` tie-break, same stale-entry requeue — in
+bursts: each ``send(budget)`` runs up to ``budget`` operations, consuming
+first the operations an epoch certification pulled but did not execute.
+The budget starts small and doubles every time an epoch attempt fails,
+so irregular regions (conflicts, barriers, reductions) degrade gracefully
+toward plain run-ahead execution instead of thrashing on failed
+certifications. When the adaptive gate gives up on epochs, the same
+scheduler drains the rest of the run with an unbounded budget.
 
 Epochs batch per-op work, so anything that must see every operation —
-the coherence sanitizer, the Perfetto tracer, the ``REPRO_NO_FASTPATH``
-/ ``REPRO_NO_RUNAHEAD`` reference modes, lazy conflict detection —
+the coherence sanitizer, the Perfetto tracer, lazy conflict detection —
 forces the whole run down the interpreted engine, with a logged notice
 (never a silently unchecked epoch).
 
@@ -113,15 +113,7 @@ from ...runtime.ops import (
     Store,
     Work,
 )
-from ..engine import (
-    _FINISHED,
-    Engine,
-    Frame,
-    NO_FASTPATH_ENV,
-    NO_RUNAHEAD_ENV,
-    fastpath_enabled,
-    runahead_enabled,
-)
+from ..engine import _FINISHED, _UNBOUNDED, Engine, Frame
 from . import certify, log
 from .columns import EpochColumns
 from .kernels import lower_atomic, reduce_lines
@@ -261,20 +253,6 @@ class VectorEngine(Engine):
         #: never look it up per op, only per phase boundary).
         self._prof = self._obs.hostprof if self._obs is not None else None
 
-    def _fire_deferred_obs(self, t: int, core: int) -> None:
-        """Emit every deferred synthesized commit whose strict position
-        ``(cycle, core)`` does not follow the event about to execute at
-        ``(t, core)``. The tie (same cycle, same core) fires first: a
-        commit emission precedes the same core's next operation in
-        program order. Cross-core ties resolve by core index, exactly
-        the strict scheduler's ``(stamp, core)`` tie-break."""
-        deferred = self._obs_deferred
-        fire = self._obs.fused_tx_commit
-        heappop = heapq.heappop
-        while deferred and (deferred[0][0], deferred[0][1]) <= (t, core):
-            e = heappop(deferred)
-            fire(e[1], e[0], e[2], e[3], e[4], e[5], e[6])
-
     def _reduction_kernel(self, label, rows):
         prof = self._prof
         if prof is None:
@@ -295,10 +273,6 @@ class VectorEngine(Engine):
             return "coherence sanitizer installed (REPRO_SANITIZE)"
         if self._tracing:
             return "tracing enabled"
-        if not fastpath_enabled():
-            return f"{NO_FASTPATH_ENV} set"
-        if not runahead_enabled():
-            return f"{NO_RUNAHEAD_ENV} set"
         if not self._eager:
             return "lazy conflict detection"
         return None
@@ -306,27 +280,26 @@ class VectorEngine(Engine):
     def run(self) -> None:
         reason = self._epochs_disabled_reason()
         if reason is not None:
-            # Epochs batch per-op work; per-op layers (sanitizer,
-            # tracer, the reference escape hatches) must see every
-            # operation, so the whole run goes through the interpreted
-            # engine rather than producing unchecked epochs. The obs
-            # layer is the exception: its emissions are synthesized
-            # (and where order-sensitive, deferred) at their exact
-            # strict positions, so epochs stay on.
+            # Epochs batch per-op work; per-op layers (sanitizer, tracer)
+            # must see every operation, so the whole run goes through the
+            # interpreted engine rather than producing unchecked epochs.
+            # The obs layer is the exception: its emissions are
+            # synthesized (and where order-sensitive, deferred) at their
+            # exact strict positions, so epochs stay on.
             log.info("vector backend: %s; running per-op via the "
                      "interpreted engine", reason)
             super().run()
             return
         self._run_vector()
         if not self.clocks.all_finished():
-            from ...errors import SimulationError
             raise SimulationError("no runnable core but simulation not finished")
         self.stats.parallel_cycles = self.clocks.max_cycle
 
-    def _gated_drain(self, attempts: int, epoch_cycles: int) -> None:
+    def _gated_drain(self, strict, attempts: int, epoch_cycles: int) -> None:
         """The gate's rebind: mark it on the vector lane (when observing)
-        and run the uninterrupted strict pass, accounted as the ``drain``
-        host phase."""
+        and drain the rest of the run through the scheduler ``strict``
+        with an unbounded budget, accounted as the ``drain`` host
+        phase."""
         obs = self._obs
         prof = self._prof
         if obs is not None:
@@ -336,10 +309,10 @@ class VectorEngine(Engine):
             heap = self.clocks._heap
             t0 = heap[0][0] if heap else self.clocks.max_cycle
         if prof is None:
-            self._strict_drain()
+            strict.send(_UNBOUNDED)
         else:
             p0 = prof.start()
-            self._strict_drain()
+            strict.send(_UNBOUNDED)
             prof.stop("drain", p0)
         if obs is not None:
             obs.vector_drain(t0, self.clocks.max_cycle)
@@ -350,7 +323,7 @@ class VectorEngine(Engine):
         epoch_cycles = 0
         gate_pending = True
         prof = self._prof
-        strict = self._strict_stepper()
+        strict = self._scheduler()
         next(strict)  # prime: bind the hot locals, park at the first yield
         try:
             while True:
@@ -370,17 +343,16 @@ class VectorEngine(Engine):
                     log.info("vector backend: weak epoch engagement "
                              "after %d attempts; rebinding to the "
                              "run-ahead loop", attempts)
-                    strict.close()  # lands its host counters
-                    self._gated_drain(attempts, epoch_cycles)
+                    self._gated_drain(strict, attempts, epoch_cycles)
                     break
                 if gate_pending and attempts >= _GATE_WARMUP_EPOCHS:
                     # Adaptive backend gate: epoch engagement is the share
                     # of simulated cycles executed inside epochs. Below
                     # threshold, every further attempt is host overhead —
                     # rebind to one uninterrupted strict (run-ahead) pass.
-                    # Host-only decision: the strict stepper is a clone of
-                    # the interpreted run-ahead loop, so simulated results
-                    # are bit-identical either way.
+                    # Host-only decision: strict phases run the interpreted
+                    # engine's scheduler, so simulated results are
+                    # bit-identical either way.
                     gate_pending = False
                     if epoch_cycles < sum(self._cycles) * _GATE_MIN_SHARE:
                         self.stats.host_vector_gated = True
@@ -388,8 +360,7 @@ class VectorEngine(Engine):
                                  "%.0f%% after %d attempts; rebinding to "
                                  "the run-ahead loop",
                                  _GATE_MIN_SHARE * 100, attempts)
-                        strict.close()
-                        self._gated_drain(attempts, epoch_cycles)
+                        self._gated_drain(strict, attempts, epoch_cycles)
                         break
                 if n == 0:
                     burst = min(burst * 2, _MAX_BURST)
@@ -719,7 +690,7 @@ class VectorEngine(Engine):
                 # — bit-identical by construction; it advances the clock
                 # itself, so the duration is read back off it. A held op
                 # from the doomed attempt is discarded exactly as the
-                # strict stepper would (replay re-creates it).
+                # scheduler would (replay re-creates it).
                 runner.pulled = None
                 runner.pulled_value = None
                 self._restart_tx(runner, tx)
@@ -1302,232 +1273,3 @@ class VectorEngine(Engine):
         return certify.certify_access(self.msys, core,
                                       _CERTIFY_KINDS[memkind], addr,
                                       label, now, spec)
-
-    # ------------------------------------------------------------------
-    # Strict phase
-    # ------------------------------------------------------------------
-
-    def _strict_stepper(self):
-        """Generator clone of ``Engine._run_runahead`` with three
-        extensions: pulled ops (held by a failed epoch certification) are
-        consumed before the generator is resumed; a pulled op is discarded
-        when its transaction aborted (replay re-creates it); and the loop
-        yields after a caller-supplied op budget so the engine can
-        re-attempt an epoch. ``send(budget)`` runs up to ``budget`` ops
-        and yields True while work remains, False when the ready heap
-        drained. A generator rather than a method so the three dozen hot
-        local bindings happen once per run, not once per burst."""
-        clocks = self.clocks
-        heap = clocks._heap
-        done = clocks._done
-        cycles = self._cycles
-        runners = self.runners
-        tx_active = self._tx_active
-        handlers = self._handlers
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        heappush = heapq.heappush
-        finished = _FINISHED
-        deferred = self._obs_deferred  # always [] when obs is off
-        fire_deferred = self._fire_deferred_obs
-        batches = 0
-        ops = 0
-        spent = 0
-
-        budget = yield None  # primed by next(); first send() starts work
-        try:
-            while True:
-                if not heap:
-                    budget = yield False
-                    continue
-                stamp, core = heappop(heap)
-                while True:
-                    if done[core] or runners[core].blocked:
-                        # A blocked core's entry is a stray duplicate: an
-                        # in-epoch barrier release reschedules its waiters
-                        # while their pre-epoch entries still sit here.
-                        # Discarding is safe — every unblock path issues a
-                        # fresh reschedule.
-                        if not heap:
-                            break  # outer loop reports the drain
-                        stamp, core = heappop(heap)
-                        continue
-                    c = cycles[core]
-                    if stamp < c:
-                        # Stale entry (core was charged since being queued
-                        # — including by an epoch); requeue at its true
-                        # time.
-                        if heap:
-                            stamp, core = heappushpop(heap, (c, core))
-                        else:
-                            stamp = c
-                        continue
-
-                    runner = runners[core]
-                    batches += 1
-                    while True:
-                        ops += 1
-                        spent += 1
-                        if deferred and (deferred[0][0], deferred[0][1]) \
-                                <= (cycles[core], core):
-                            # A fused commit synthesized by an earlier
-                            # epoch emits at this strict position.
-                            fire_deferred(cycles[core], core)
-                        tx = tx_active[core]
-                        if tx is not None and tx.aborted:
-                            # A held pulled op belongs to the generator
-                            # being discarded; replay will re-yield it.
-                            runner.pulled = None
-                            runner.pulled_value = None
-                            self._restart_tx(runner, tx)
-                        else:
-                            op = runner.pulled
-                            if op is not None:
-                                runner.pulled = None
-                                if op is finished:
-                                    value = runner.pulled_value
-                                    runner.pulled_value = None
-                                    self._finish_frame(runner, value)
-                                    op = finished
-                            else:
-                                value = runner.pending_value
-                                runner.pending_value = None
-                                try:
-                                    op = runner.send(value)
-                                except StopIteration as stop:
-                                    self._finish_frame(runner, stop.value)
-                                    op = finished
-                            if op is not finished:
-                                try:
-                                    handler = handlers[op.__class__]
-                                except KeyError:
-                                    handler = self._resolve_handler(op)
-                                handler(runner, op)
-
-                        if runner.blocked or done[core]:
-                            break
-                        if spent >= budget:
-                            # Budget spent with this core still runnable:
-                            # park it back in the heap (restoring the
-                            # one-entry-per-ready-core invariant) and hand
-                            # control back for an epoch attempt.
-                            heappush(heap, (cycles[core], core))
-                            spent = 0
-                            budget = yield True
-                            runner = None  # fresh pop after the epoch
-                            break
-                        c = cycles[core]
-                        if heap:
-                            top = heap[0]
-                            if c > top[0] or (c == top[0] and core > top[1]):
-                                stamp, core = heappushpop(heap, (c, core))
-                                break
-
-                    if runner is None:
-                        break  # re-pop via the outer loop
-                    if runner.blocked or done[runner.core]:
-                        if not heap:
-                            break  # outer loop reports the drain
-                        stamp, core = heappop(heap)
-        finally:
-            self.stats.host_runahead_batches += batches
-            self.stats.host_runahead_ops += ops
-
-    def _strict_drain(self) -> None:
-        """Unbudgeted strict pass: run the rest of the simulation through
-        the run-ahead loop. Used when the adaptive gate rebinds a
-        non-engaging workload — the budgeted stepper's per-op accounting
-        (spent/budget compare, generator suspensions between bursts) is
-        pure overhead once no further epoch attempt will ever run, and on
-        a fence-bound workload this loop covers ~95% of the ops. A clone
-        of ``Engine._run_runahead`` with the two vector-state extensions:
-        held pulled ops are consumed first (discarded when their
-        transaction aborted — replay re-creates them), and a popped entry
-        for a blocked core is a stray duplicate from an in-epoch barrier
-        release, discarded the same way the stepper does."""
-        clocks = self.clocks
-        heap = clocks._heap
-        done = clocks._done
-        cycles = self._cycles
-        runners = self.runners
-        tx_active = self._tx_active
-        handlers = self._handlers
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        finished = _FINISHED
-        deferred = self._obs_deferred  # always [] when obs is off
-        fire_deferred = self._fire_deferred_obs
-        batches = 0
-        ops = 0
-
-        if not heap:
-            return
-        stamp, core = heappop(heap)
-        while True:
-            if done[core] or runners[core].blocked:
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-                continue
-            c = cycles[core]
-            if stamp < c:
-                if heap:
-                    stamp, core = heappushpop(heap, (c, core))
-                else:
-                    stamp = c
-                continue
-
-            runner = runners[core]
-            batches += 1
-            while True:
-                ops += 1
-                if deferred and (deferred[0][0], deferred[0][1]) \
-                        <= (cycles[core], core):
-                    # A fused commit synthesized by an earlier epoch
-                    # emits at this strict position.
-                    fire_deferred(cycles[core], core)
-                tx = tx_active[core]
-                if tx is not None and tx.aborted:
-                    runner.pulled = None
-                    runner.pulled_value = None
-                    self._restart_tx(runner, tx)
-                else:
-                    op = runner.pulled
-                    if op is not None:
-                        runner.pulled = None
-                        if op is finished:
-                            value = runner.pulled_value
-                            runner.pulled_value = None
-                            self._finish_frame(runner, value)
-                            op = finished
-                    else:
-                        value = runner.pending_value
-                        runner.pending_value = None
-                        try:
-                            op = runner.send(value)
-                        except StopIteration as stop:
-                            self._finish_frame(runner, stop.value)
-                            op = finished
-                    if op is not finished:
-                        try:
-                            handler = handlers[op.__class__]
-                        except KeyError:
-                            handler = self._resolve_handler(op)
-                        handler(runner, op)
-
-                if runner.blocked or done[core]:
-                    break
-                c = cycles[core]
-                if heap:
-                    top = heap[0]
-                    if c > top[0] or (c == top[0] and core > top[1]):
-                        stamp, core = heappushpop(heap, (c, core))
-                        break
-
-            if runner.blocked or done[runner.core]:
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-
-        self.stats.host_runahead_batches += batches
-        self.stats.host_runahead_ops += ops

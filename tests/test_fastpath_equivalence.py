@@ -4,9 +4,10 @@ The fast path (``MemorySystem.fast_load`` and friends, dispatched from the
 engine's ``_op_*_fast`` handlers) is a host-side optimization only: for
 every workload it must produce *bit-identical* simulated behaviour —
 cycles, aborts, traffic, breakdowns — to the full protocol path that
-``REPRO_NO_FASTPATH=1`` forces. These tests run every micro workload both
-ways and compare ``Stats.comparable()``, which covers every simulated
-statistic and excludes only the ``host_*`` instrumentation counters.
+the test-only ``_NO_FASTPATH`` flag binds. These tests run every micro
+workload both ways and compare ``Stats.comparable()``, which covers every
+simulated statistic and excludes only the ``host_*`` instrumentation
+counters.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV
-from repro.sim.engine import NO_FASTPATH_ENV, fastpath_enabled
+from repro.sim import engine as engine_mod
 from repro.workloads.micro import (counter, linked_list, ordered_put,
                                    refcount, topk)
 
@@ -28,10 +29,7 @@ MICROS = {
 
 
 def _run(build, *, commtm, seed, no_fastpath, monkeypatch, sanitize=False):
-    if no_fastpath:
-        monkeypatch.setenv(NO_FASTPATH_ENV, "1")
-    else:
-        monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", no_fastpath)
     if sanitize:
         monkeypatch.setenv(SANITIZE_ENV, "1")
     else:
@@ -67,7 +65,7 @@ def test_fastpath_is_bit_identical(name, commtm, seed, monkeypatch):
     # coherence traffic, CommTM mechanism counts, instruction counts.
     assert fast.stats.comparable() == slow.stats.comparable()
 
-    # The escape hatch really forces the slow path: zero hits, zero
+    # The flag really forces the slow path: zero hits, zero
     # *attempts* — the hit rate reads None ("disabled"), not 0.0.
     assert slow.stats.host_fastpath_hits == 0
     assert slow.stats.host_fastpath_misses == 0
@@ -93,14 +91,6 @@ def test_sanitized_runs_are_clean_and_equivalent(name, no_fastpath,
                    monkeypatch=monkeypatch, sanitize=True)
     assert checked.cycles == plain.cycles
     assert checked.stats.comparable() == plain.stats.comparable()
-    for off in ("1", "true", "yes", " 1 "):
-        monkeypatch.setenv(NO_FASTPATH_ENV, off)
-        assert not fastpath_enabled()
-    for on in ("", "0", "false", " FALSE "):
-        monkeypatch.setenv(NO_FASTPATH_ENV, on)
-        assert fastpath_enabled()
-    monkeypatch.delenv(NO_FASTPATH_ENV)
-    assert fastpath_enabled()
 
 
 def test_counter_commtm_is_hit_dominated(monkeypatch):

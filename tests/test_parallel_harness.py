@@ -236,6 +236,48 @@ def test_cache_invalidates_on_config_change(tmp_path):
     assert probe.get(_counter_spec()) is not None
 
 
+def test_fingerprint_keys_on_simulator_sources(monkeypatch):
+    """Results from older simulator code are never served: the
+    fingerprint follows the source digest, and only the digest."""
+    from repro.harness import cache as cache_mod
+
+    spec = _counter_spec()
+    digest = cache_mod.source_digest()
+    assert len(digest) == 64
+    assert cache_mod.source_digest() == digest  # computed once
+    current = fingerprint(spec)
+
+    monkeypatch.setattr(cache_mod, "_source_digest", "0" * 64)
+    edited = fingerprint(spec)
+    assert edited != current
+    assert fingerprint(spec) == edited
+    assert fingerprint(_counter_spec()) == edited
+
+    monkeypatch.setattr(cache_mod, "_source_digest", digest)
+    assert fingerprint(spec) == current
+
+
+def test_source_digest_covers_only_the_simulator(monkeypatch):
+    from repro.harness import cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "_source_digest", None)
+    seen = []
+    read_bytes = cache_mod.Path.read_bytes
+
+    def recording_read(path):
+        seen.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(cache_mod.Path, "read_bytes", recording_read)
+    cache_mod.source_digest()
+    root = cache_mod.Path(cache_mod.__file__).resolve().parent.parent
+    rel = {p.relative_to(root).as_posix() for p in seen}
+    assert {"sim/engine.py", "sim/vector/engine.py",
+            "coherence/protocol.py", "__init__.py"} <= rel
+    assert not {r.split("/")[0] for r in rel} & {"harness", "obs",
+                                                 "analysis"}
+
+
 def test_cache_tolerates_corrupt_entry(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _counter_spec()

@@ -1,14 +1,16 @@
 """Differential tests for the run-ahead (leapfrog) scheduler.
 
-The run-ahead loop in ``Engine._run_runahead`` is a host-side
+The run-ahead scheduler (``Engine._scheduler``) is a host-side
 optimization only: it batches consecutive steps of the minimum-clock core
 into one scheduling quantum, but must reproduce the *exact* ``(stamp,
-core)`` pop order of the single-step reference loop that
-``REPRO_NO_RUNAHEAD=1`` forces. These tests run every micro workload both
-ways and compare ``Stats.comparable()`` (every simulated statistic,
-``host_*`` counters excluded) — and, for a sharper check, record the
-full op-level interleaving trace of both schedulers and require it to be
-identical element by element.
+core)`` pop order of the single-step reference loop
+(``Engine._run_stepped``, selected by the test-only ``_NO_RUNAHEAD``
+flag). These tests run every micro workload both ways and compare
+``Stats.comparable()`` (every simulated statistic, ``host_*`` counters
+excluded) — and, for a sharper check, record the full op-level
+interleaving trace of both schedulers and require it to be identical
+element by element, including when the scheduler is driven in small op
+budgets the way the vector backend drives it between epochs.
 
 The adaptive fast-path gate (``Engine._disable_fastpath``) is validated
 here too: it is driven purely by the attempt/hit sequence, which the
@@ -24,8 +26,8 @@ from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV
 from repro.params import small_config
 from repro.runtime.ops import BARRIER, Atomic
-from repro.sim.engine import (Engine, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV,
-                              runahead_enabled)
+from repro.sim import engine as engine_mod
+from repro.sim.engine import Engine
 from repro.workloads.micro import (counter, linked_list, ordered_put,
                                    refcount, topk)
 from repro.workloads.micro.common import BuiltWorkload
@@ -41,10 +43,7 @@ MICROS = {
 
 def _run(build, *, commtm, seed, runahead, monkeypatch, sanitize=False,
          observe=False, **params):
-    if runahead:
-        monkeypatch.delenv(NO_RUNAHEAD_ENV, raising=False)
-    else:
-        monkeypatch.setenv(NO_RUNAHEAD_ENV, "1")
+    monkeypatch.setattr(engine_mod, "_NO_RUNAHEAD", not runahead)
     if sanitize:
         monkeypatch.setenv(SANITIZE_ENV, "1")
     else:
@@ -79,8 +78,8 @@ def test_runahead_is_bit_identical(name, commtm, seed, monkeypatch):
     assert ahead.stats.commits == stepped.stats.commits
     assert ahead.stats.comparable() == stepped.stats.comparable()
 
-    # The escape hatch really selects the reference loop (no quanta), and
-    # the run-ahead loop really batches (>= 1 op per quantum).
+    # The flag really selects the reference loop (no quanta), and the
+    # run-ahead loop really batches (>= 1 op per quantum).
     assert stepped.stats.host_runahead_batches == 0
     assert stepped.stats.runahead_ops_per_batch is None
     assert ahead.stats.host_runahead_batches > 0
@@ -103,17 +102,6 @@ def test_runahead_composes_with_obs_and_sanitize(name, mode, monkeypatch):
     assert ahead.stats.host_runahead_batches > 0
 
 
-def test_env_parsing(monkeypatch):
-    for off in ("1", "true", "yes", " 1 "):
-        monkeypatch.setenv(NO_RUNAHEAD_ENV, off)
-        assert not runahead_enabled()
-    for on in ("", "0", "false", " FALSE "):
-        monkeypatch.setenv(NO_RUNAHEAD_ENV, on)
-        assert runahead_enabled()
-    monkeypatch.delenv(NO_RUNAHEAD_ENV)
-    assert runahead_enabled()
-
-
 # ---------------------------------------------------------------------------
 # Adaptive fast-path gate
 # ---------------------------------------------------------------------------
@@ -124,17 +112,17 @@ def test_gate_disables_fastpath_on_contended_baseline(runahead, monkeypatch):
     """The baseline counter is the fast path's worst case (every store
     contends): the gate must trip after warmup, record a sub-threshold
     hit rate, and leave simulated results bit-identical to both the
-    never-attempted (REPRO_NO_FASTPATH) run and the other scheduler."""
+    never-attempted (``_NO_FASTPATH``) run and the other scheduler."""
     gated = _run(MICROS["counter"], commtm=False, seed=1, runahead=runahead,
                  monkeypatch=monkeypatch, total_ops=600)
     assert gated.stats.host_fastpath_gated
     assert gated.stats.fastpath_hit_rate is not None
     assert gated.stats.fastpath_hit_rate < 0.5
 
-    monkeypatch.setenv(NO_FASTPATH_ENV, "1")
+    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", True)
     never = _run(MICROS["counter"], commtm=False, seed=1, runahead=runahead,
                  monkeypatch=monkeypatch, total_ops=600)
-    monkeypatch.delenv(NO_FASTPATH_ENV)
+    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", False)
     assert not never.stats.host_fastpath_gated
     assert never.stats.fastpath_hit_rate is None
     assert gated.cycles == never.cycles
@@ -222,44 +210,63 @@ def _traced_engine(machine, bodies):
     return engine, trace
 
 
-def _interleaving(build, *, commtm, seed, runahead, monkeypatch):
+#: How ``_interleaving`` drives the engine: the stepped reference loop,
+#: ``Engine.run`` (one unbounded budget), or the one scheduler resumed with
+#: ``send(b)`` until it drains — the vector backend's burst protocol, where
+#: every spent budget parks the running core back in the heap.
+STEPPED = "stepped"
+RUN = "run"
+BUDGETS = (1, 3, 8)
+
+
+def _interleaving(build, *, commtm, seed, mode, monkeypatch):
     # Pin the fast path off so the handler table stays stable (the gate
     # rebinding mid-run would strip the recording wrappers).
-    monkeypatch.setenv(NO_FASTPATH_ENV, "1")
-    if runahead:
-        monkeypatch.delenv(NO_RUNAHEAD_ENV, raising=False)
-    else:
-        monkeypatch.setenv(NO_RUNAHEAD_ENV, "1")
+    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", True)
+    monkeypatch.setattr(engine_mod, "_NO_RUNAHEAD", mode == STEPPED)
     machine = Machine(small_config(num_cores=8, seed=seed,
                                    commtm_enabled=commtm))
     built = build(machine, 4)
     engine, trace = _traced_engine(machine, built.bodies)
-    engine.run()
+    if mode in (STEPPED, RUN):
+        engine.run()
+    else:
+        scheduler = engine._scheduler()
+        next(scheduler)
+        while scheduler.send(mode):
+            pass
+        scheduler.close()
+        assert engine.clocks.all_finished()
+        machine.stats.parallel_cycles = engine.clocks.max_cycle
+        assert machine.stats.host_runahead_batches > 0
     return trace, machine.stats
+
+
+def _assert_same_interleaving(build, *, commtm, seed, monkeypatch):
+    ref, ref_stats = _interleaving(build, commtm=commtm, seed=seed,
+                                   mode=STEPPED, monkeypatch=monkeypatch)
+    assert ref
+    for mode in (RUN,) + BUDGETS:
+        trace, stats = _interleaving(build, commtm=commtm, seed=seed,
+                                     mode=mode, monkeypatch=monkeypatch)
+        assert len(trace) == len(ref), mode
+        assert trace == ref, mode
+        assert stats.parallel_cycles == ref_stats.parallel_cycles, mode
+        assert stats.comparable() == ref_stats.comparable(), mode
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("commtm", [True, False],
                          ids=["commtm", "baseline"])
 def test_random_mix_interleaving_identical(commtm, seed, monkeypatch):
-    ahead, stats_a = _interleaving(_random_mix, commtm=commtm, seed=seed,
-                                   runahead=True, monkeypatch=monkeypatch)
-    stepped, stats_s = _interleaving(_random_mix, commtm=commtm, seed=seed,
-                                     runahead=False, monkeypatch=monkeypatch)
-    assert len(ahead) == len(stepped)
-    assert ahead == stepped
-    assert stats_a.parallel_cycles == stats_s.parallel_cycles
-    assert stats_a.comparable() == stats_s.comparable()
+    _assert_same_interleaving(_random_mix, commtm=commtm, seed=seed,
+                              monkeypatch=monkeypatch)
 
 
-@pytest.mark.parametrize("name", ["counter", "refcount"])
+@pytest.mark.parametrize("name", sorted(MICROS))
 def test_micro_interleaving_identical(name, monkeypatch):
     def build(machine, num_threads):
         return MICROS[name](machine, num_threads, total_ops=120)
 
-    ahead, stats_a = _interleaving(build, commtm=True, seed=1,
-                                   runahead=True, monkeypatch=monkeypatch)
-    stepped, stats_s = _interleaving(build, commtm=True, seed=1,
-                                     runahead=False, monkeypatch=monkeypatch)
-    assert ahead == stepped
-    assert stats_a.comparable() == stats_s.comparable()
+    _assert_same_interleaving(build, commtm=True, seed=1,
+                              monkeypatch=monkeypatch)

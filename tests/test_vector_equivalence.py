@@ -32,7 +32,6 @@ from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV
 from repro.runtime.ops import BARRIER, Atomic
-from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
 from repro.sim.vector import BACKEND_ENV, available
 from repro.workloads.apps import boruvka, genome, kmeans, ssca2, vacation
 from repro.workloads.micro import (counter, linked_list, ordered_put,
@@ -67,9 +66,8 @@ APPS = {
 
 def _run(build, *, backend, commtm, seed, monkeypatch, sanitize=False,
          observe=False, **params):
-    # Parity must not depend on ambient escape hatches.
-    for env in (NO_RUNAHEAD_ENV, NO_FASTPATH_ENV, BACKEND_ENV):
-        monkeypatch.delenv(env, raising=False)
+    # Parity must not depend on an ambient backend selection.
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
     if sanitize:
         monkeypatch.setenv(SANITIZE_ENV, "1")
     else:
@@ -218,15 +216,3 @@ def test_vector_composes_with_obs(monkeypatch):
     assert vector.info["obs"] is not None
 
 
-@pytest.mark.parametrize("env", [NO_FASTPATH_ENV, NO_RUNAHEAD_ENV])
-def test_vector_respects_reference_escape_hatches(env, monkeypatch):
-    """The reference escape hatches exist to pin down the simplest
-    possible execution; the vector backend must honor them by running
-    per-op (zero epochs) and stay bit-identical doing so."""
-    interp = _run(MICROS["topk"], backend="interp", commtm=True, seed=1,
-                  monkeypatch=monkeypatch)
-    monkeypatch.setenv(env, "1")
-    vector = run_workload(MICROS["topk"], 4, num_cores=16, commtm=True,
-                          seed=1, backend="vector", total_ops=240)
-    _assert_parity(interp, vector)
-    assert vector.stats.host_vector_epochs == 0

@@ -10,9 +10,9 @@ backend actually drove. Three compositions matter:
   with the sanitizer genuinely checking along the way;
 * a genuine vector run (epochs engaged, fenced replay exercised): the
   final coherence state must pass the shared invariant suite;
-* the adaptive gate (``_strict_drain`` rebind to the run-ahead loop):
-  same obligation on the gated path, plus parity with the interpreted
-  engine.
+* the adaptive gate (the rebind that drains the rest of the run through
+  the run-ahead scheduler): same obligation on the gated path, plus
+  parity with the interpreted engine.
 """
 
 import pytest
@@ -50,7 +50,7 @@ def _counter_run(backend, sanitize=False, adds=12, threads=8):
 def _fence_storm_run(backend, threads=8, iters=24):
     """Every op is a shared-line coherence miss or a barrier — near-zero
     epoch-eligible cycles, so the adaptive gate rebinds the run to the
-    strict (run-ahead) loop via ``_strict_drain``."""
+    strict (run-ahead) scheduler for the rest of the run."""
     machine = Machine(_config(), backend=backend)
     lines = [machine.alloc.alloc_line() for _ in range(2)]
     for addr in lines:
