@@ -309,14 +309,11 @@ class Engine:
         reschedules the waiters). A spent budget parks the running core
         back in the heap, which restores the one-entry invariant.
 
-        Three hooks serve the vector backend and are inert under the
+        Two hooks serve the vector backend and are inert under the
         interpreter: an op an epoch pulled but did not execute
         (``runner.pulled``) is consumed before the generator resumes, and
-        dropped when its transaction aborted (replay re-creates it); a
-        popped entry for a blocked core is a stray duplicate left by an
-        in-epoch barrier release, and is discarded (every unblock path
-        reschedules); and deferred obs commits fire at their strict
-        position."""
+        dropped when its transaction aborted (replay re-creates it); and
+        deferred obs commits fire at their strict position."""
         clocks = self.clocks
         heap = clocks._heap
         done = clocks._done
@@ -342,7 +339,7 @@ class Engine:
                     continue
                 stamp, core = heappop(heap)
                 while True:
-                    if done[core] or runners[core].blocked:
+                    if done[core]:
                         if not heap:
                             break  # outer loop reports the drain
                         stamp, core = heappop(heap)

@@ -147,8 +147,9 @@ class Stats:
     #: interpreted run-ahead loop because epoch engagement stayed below
     #: threshold through the warmup window (host-only decision).
     host_vector_gated: bool = False
-    #: Why epochs fenced: cause -> count (e.g. "barrier", "tx_restart",
-    #: "miss_unsafe"). Host-side diagnosis of epoch engagement.
+    #: Why epochs fenced: cause -> count (e.g. "atomic", "tx_commit",
+    #: "tx_restart", "barrier", "miss_unsafe", "thread_finish").
+    #: Host-side diagnosis of epoch engagement.
     host_vector_fence_causes: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:

@@ -9,15 +9,16 @@ between two phases:
 unblocked core's pulled operation is classified: *local* operations —
 think time, a private-hit load/store, a labeled update on this core's own
 M/E/U line, a whole transaction fusible through :mod:`.kernels` — enter a
-private min-start heap; everything else (a miss, a barrier, a transaction
-restart, thread completion) becomes a *fence* at its start time. The
-epoch then pops the heap and executes every local operation starting
-strictly before the earliest fence; after each execution the core pulls
-and classifies its next operation, re-entering the heap (so one core
-chains through a whole local region) or lowering the fence. Statistics
-land in per-core columns
-(:class:`~repro.sim.vector.columns.EpochColumns`) that numpy reduces into
-the ordinary ``Stats`` fields when the run completes.
+private min-start heap; everything else (an uncertifiable miss, the begin
+of a transaction that does not fuse, a transaction commit or restart, a
+barrier, thread completion) becomes a *fence* at its start time and runs
+in the strict phase through the engine's own handlers. The epoch then
+pops the heap and executes every local operation starting strictly
+before the earliest fence; after each execution the core pulls and
+classifies its next operation, re-entering the heap (so one core chains
+through a whole local region) or lowering the fence. Statistics land in
+per-core columns (:class:`~repro.sim.vector.columns.EpochColumns`) that
+numpy reduces into the ordinary ``Stats`` fields when the run completes.
 
 *Why the interleaving is bit-identical to strict min-clock order*: local
 operations touch only their own core's private cache (plus additive
@@ -52,13 +53,13 @@ precomputed snapshot and fences on disagreement.
 **Adaptive backend gate + fenced replay** (:meth:`VectorEngine._run_vector`).
 Workloads that never engage epochs (e.g. conventional-HTM baselines
 whose every access conflicts) pay the classification attempts as pure
-host overhead: after a warmup, if the share of simulated cycles executed
-inside epochs stays below a threshold, the run rebinds to one
-uninterrupted strict (run-ahead) pass. Symmetrically, when several cores
-fence in one attempt (a barrier wave, a burst of uncertifiable misses),
-the strict phase gets at least one op per fenced event so the whole wave
-replays as one sorted batch. Every fence increments a cause histogram
-(``Stats.host_vector_fence_causes``).
+host overhead: at two checkpoint attempt counts, if the share of
+simulated cycles executed inside epochs is below that checkpoint's bar,
+the run rebinds to one uninterrupted strict (run-ahead) pass.
+Symmetrically, when several cores fence in one attempt (a barrier wave,
+a burst of uncertifiable misses), the strict phase gets at least one op
+per fenced event so the whole wave replays as one sorted batch. Every
+fence increments a cause histogram (``Stats.host_vector_fence_causes``).
 
 **Strict phases** run the interpreted engine's one scheduler
 (:meth:`Engine._scheduler <repro.sim.engine.Engine._scheduler>`) — same
@@ -127,22 +128,18 @@ _I = State.I
 # Operation kinds a classified record can carry. Conventional routes of
 # LabeledLoad/LabeledStore/LoadGather (baseline HTM, labels disabled) also
 # classify as K_LOAD/K_STORE — no labeled counts, mirroring the engine.
-# K_BEGIN/K_COMMIT bracket *interpreted* transactions run inside an epoch:
-# begin draws its timestamp in heap-pop (= strict) order, commit is
-# core-local under eager conflict detection. K_PROTO carries a certified
-# *full-protocol* access — a miss, an S-upgrade, a reduction, a gather —
-# whose outcome :meth:`VectorEngine._certify_proto` proved deterministic
-# from the current directory/sharer snapshot: executed at heap-pop time
-# (= the strict scheduler's execution point) through the real
-# ``MemorySystem`` handlers, so it is bit-identical by construction.
+# K_PROTO carries a certified *full-protocol* access — a miss, an
+# S-upgrade, a reduction, a gather — whose outcome
+# :meth:`VectorEngine._certify_proto` proved deterministic from the
+# current directory/sharer snapshot: executed at heap-pop time (= the
+# strict scheduler's execution point) through the real ``MemorySystem``
+# handlers, so it is bit-identical by construction.
 K_WORK = 0
 K_FUSED = 1
 K_LOAD = 2
 K_STORE = 3
 K_LLOAD = 4
 K_LSTORE = 5
-K_BEGIN = 6
-K_COMMIT = 7
 K_PROTO = 8
 #: K_PROTO sub-kind for labeled gathers (record ``data`` field only; a
 #: record's ``kind`` is never K_GATHER).
@@ -156,16 +153,6 @@ _CERTIFY_KINDS = {
     K_LSTORE: AccessKind.LABELED_STORE,
     K_GATHER: AccessKind.GATHER,
 }
-#: An aborted transaction's restart (backoff draw + stall + re-begin),
-#: executed at the core's heap-pop time — exactly the point the strict
-#: scheduler would call ``_restart_tx`` — so the rng draw order matches.
-K_RESTART = 10
-#: A barrier arrival. Arrivals execute at heap-pop time (= strict arrival
-#: order); the non-last arrivers block and leave the epoch, and the last
-#: arrival's release — which can only fire when every other live core is
-#: already waiting, i.e. with an empty epoch heap — re-admits the whole
-#: wave into the *same* epoch at the release time.
-K_BARRIER = 11
 #: First-touch fused transaction, phase 1: the real ``htm.begin`` (the
 #: timestamp draw happens in heap-pop = strict order). The body is
 #: scheduled as its own record at ``t + tx_begin_cycles`` because between
@@ -190,24 +177,20 @@ _MIN_BURST = 8
 _MAX_BURST = 4096
 
 # Adaptive backend gate (mirrors the interpreted engine's fast-path
-# warmup): after this many epoch attempts, if the share of simulated
-# cycles executed inside epochs is below the threshold, the run rebinds
-# to a single uninterrupted strict (run-ahead) pass — epoch attempts are
-# pure host-side overhead on workloads that never engage them.
-_GATE_WARMUP_EPOCHS = 32
-_GATE_MIN_SHARE = 0.5
-# Early exit from the warmup itself: each attempt costs a full scan of
-# every runner, so a workload that is recognizably fence-bound should not
-# pay for the whole warmup. The cumulative epoch-cycle share only *falls*
-# on such workloads (every contended phase repeats), so a share already
-# well below full engagement after a handful of attempts is decisive —
-# measured trajectories separate cleanly (a fence-bound counter run sits
-# near 0.6 by attempt four and keeps falling, an epoch-friendly kmeans
-# run stays above 0.95). The early bar is deliberately *higher* than
-# _GATE_MIN_SHARE: past the warmup the accumulated evidence justifies a
-# lower bar.
-_GATE_EARLY_ATTEMPTS = 4
-_GATE_EARLY_SHARE = 0.65
+# warmup): at each checkpoint attempt count, if the share of simulated
+# cycles executed inside epochs is below that checkpoint's bar, the run
+# rebinds to a single uninterrupted strict (run-ahead) pass — epoch
+# attempts are pure host-side overhead on workloads that never engage
+# them. The early checkpoint exits the warmup itself: each attempt costs
+# a full scan of every runner, and the cumulative epoch-cycle share only
+# *falls* on a fence-bound workload (every contended phase repeats), so a
+# share already well below full engagement after a handful of attempts is
+# decisive — measured trajectories separate cleanly (a fence-bound
+# counter run sits near 0.6 by attempt four and keeps falling, an
+# epoch-friendly kmeans run stays above 0.95). Its bar is deliberately
+# *higher*: past the warmup the accumulated evidence justifies a lower
+# one.
+_GATE_CHECKPOINTS = {4: 0.65, 32: 0.5}
 
 
 class VectorEngine(Engine):
@@ -220,10 +203,6 @@ class VectorEngine(Engine):
         self._l1_lat = msys._l1_latency
         self._l12_lat = msys._l12_latency
         self._fused_base = self._tx_begin_cycles + self._tx_commit_cycles
-        #: Commits may execute inside epochs only with a nonzero latency:
-        #: a zero-duration event could tie with a fenced one at the same
-        #: cycle, where the strict tie-break might order the fence first.
-        self._commit_local = self._tx_commit_cycles >= 1
         self._cols = EpochColumns(self.config.num_cores)
         #: Per-epoch memo of validated fused targets:
         #: (core, line, label, idx0, n) -> CacheLine.
@@ -231,11 +210,6 @@ class VectorEngine(Engine):
         #: Why the most recent _classify call declined (fence-cause
         #: histogram; see Stats.host_vector_fence_causes).
         self._decline = "unclassified"
-        #: Restarts may run in-epoch only when they cannot take zero
-        #: cycles (backoff_cycles returns >= 1 whenever base > 0): a
-        #: zero-duration event could tie with a fence at its own start.
-        self._restart_local = (self.config.backoff_base > 0
-                               or self._tx_begin_cycles >= 1)
         # Batched reduction seam: word-wise reductions and gather merges
         # collect the sharer lines and fold them in one numpy pass
         # (bit-identical words and charge; see kernels.reduce_lines).
@@ -321,7 +295,6 @@ class VectorEngine(Engine):
         burst = _MIN_BURST
         attempts = 0
         epoch_cycles = 0
-        gate_pending = True
         prof = self._prof
         strict = self._scheduler()
         next(strict)  # prime: bind the hot locals, park at the first yield
@@ -335,33 +308,17 @@ class VectorEngine(Engine):
                     prof.stop("epoch", p0)
                 epoch_cycles += ecyc
                 attempts += 1
-                if (gate_pending and attempts == _GATE_EARLY_ATTEMPTS
-                        and epoch_cycles
-                        < sum(self._cycles) * _GATE_EARLY_SHARE):
-                    gate_pending = False
+                # Host-only decision: strict phases run the interpreted
+                # engine's scheduler, so simulated results are
+                # bit-identical either way.
+                bar = _GATE_CHECKPOINTS.get(attempts)
+                if bar is not None and epoch_cycles < sum(self._cycles) * bar:
                     self.stats.host_vector_gated = True
-                    log.info("vector backend: weak epoch engagement "
-                             "after %d attempts; rebinding to the "
-                             "run-ahead loop", attempts)
+                    log.info("vector backend: epoch engagement below "
+                             "%.0f%% after %d attempts; rebinding to the "
+                             "run-ahead loop", bar * 100, attempts)
                     self._gated_drain(strict, attempts, epoch_cycles)
                     break
-                if gate_pending and attempts >= _GATE_WARMUP_EPOCHS:
-                    # Adaptive backend gate: epoch engagement is the share
-                    # of simulated cycles executed inside epochs. Below
-                    # threshold, every further attempt is host overhead —
-                    # rebind to one uninterrupted strict (run-ahead) pass.
-                    # Host-only decision: strict phases run the interpreted
-                    # engine's scheduler, so simulated results are
-                    # bit-identical either way.
-                    gate_pending = False
-                    if epoch_cycles < sum(self._cycles) * _GATE_MIN_SHARE:
-                        self.stats.host_vector_gated = True
-                        log.info("vector backend: epoch engagement below "
-                                 "%.0f%% after %d attempts; rebinding to "
-                                 "the run-ahead loop",
-                                 _GATE_MIN_SHARE * 100, attempts)
-                        self._gated_drain(strict, attempts, epoch_cycles)
-                        break
                 if n == 0:
                     burst = min(burst * 2, _MAX_BURST)
                 elif n >= burst:
@@ -410,11 +367,11 @@ class VectorEngine(Engine):
         observed. Operations pulled but not executed stay in
         ``runner.pulled`` for the strict phase.
 
-        Cores whose next event is *not* local — a miss, a barrier, a
-        transaction restart, thread completion — do not park the whole
-        epoch: they become *fences* at their event's start time. The
-        epoch executes, in min-start order off a private heap, every
-        local operation starting strictly before the earliest fence —
+        Cores whose next event is *not* local — a miss, a transaction
+        begin, commit or restart, a barrier, thread completion — do not
+        park the whole epoch: they become *fences* at their event's start
+        time. The epoch executes, in min-start order off a private heap,
+        every local operation starting strictly before the earliest fence —
         exactly the set the strict scheduler would run before reaching
         the fenced event. A core whose operation executes immediately
         pulls and classifies its next one, so a core chains through
@@ -424,7 +381,6 @@ class VectorEngine(Engine):
         never invalidates anything already done; ties between a local
         op and a fence never execute (strict ``t < fence``), because
         the strict scheduler could order the fenced event first."""
-        tx_active = self._tx_active
         done = self.clocks._done
         cycles = self._cycles
         finished = _FINISHED
@@ -651,89 +607,6 @@ class VectorEngine(Engine):
                                                   pred, dur)
                 proto_mutated = True
                 self._fused_ok.clear()
-            elif kind == K_BEGIN:
-                # Clone of _op_atomic's outermost branch (tracing is off
-                # whenever epochs run). The timestamp draw happens here,
-                # in heap-pop order — the strict scheduler's order — and
-                # so does the begin emission.
-                tx = htm.begin(core, ts=op.ts)
-                if obs is not None:
-                    obs.tx_begin(core, t, tx)
-                breakdown[core].tx_committed += dur
-                tx.cycles_this_attempt += dur
-                gen = op.fn(runner.ctx, *op.args)
-                runner.frames.append(Frame(gen, op, True))
-                runner.send = gen.send
-            elif kind == K_COMMIT:
-                if tx.aborted or tx.lazy_written:  # defensive: hold it
-                    fc["commit_revoked"] = fc.get("commit_revoked", 0) + 1
-                    fences += 1
-                    break
-                # Clone of _finish_frame's commit path (tracing off;
-                # eager detection, so no lazy publication). The commit
-                # emission runs before htm.commit — commit_all clears
-                # the spec bits the hook reads — at this record's pop
-                # time, which *is* its strict emission position.
-                frames = runner.frames
-                frames.pop()
-                runner.send = frames[-1].gen.send
-                if obs is not None:
-                    obs.tx_commit(core, t, tx)
-                htm.commit(core)
-                breakdown[core].tx_committed += dur
-                runner.pending_value = data  # the frame's StopIteration value
-                tx = None
-            elif kind == K_RESTART:
-                # The strict path's own _restart_tx (finish_abort, frame
-                # unwind, livelock guard, backoff draw + stall charged
-                # as wasted, begin_retry + begin charge, fresh generator)
-                # — bit-identical by construction; it advances the clock
-                # itself, so the duration is read back off it. A held op
-                # from the doomed attempt is discarded exactly as the
-                # scheduler would (replay re-creates it).
-                runner.pulled = None
-                runner.pulled_value = None
-                self._restart_tx(runner, tx)
-                dur = cycles[core] - t
-                tx = tx_active[core]
-            elif kind == K_BARRIER:
-                # Arrival at heap-pop time = the strict scheduler's
-                # arrival order. Non-last arrivers block and simply leave
-                # the epoch (no record, no fence — a blocked core cannot
-                # act until released).
-                runner.pulled = None
-                self._barrier_arrive(runner)
-                epoch_ops += 1
-                if runner.blocked:
-                    continue
-                # Last arriver: the release fired. It can only fire when
-                # every other live core is already waiting, so the heap
-                # is empty; every waiter's stall was charged non-tx and
-                # its clock advanced to the release time by
-                # _maybe_release_barrier. Re-admit the whole wave into
-                # this same epoch.
-                nt = cycles[core]
-                epoch_cycles += nt - t
-                if obs is not None and nt > ep_end:
-                    ep_end = nt
-                if heap:  # defensive: fall back to fencing the release
-                    fences += 1
-                    if fence is None or nt < fence:
-                        fence = nt
-                    break
-                admit = self._admit
-                for r2 in self.runners:
-                    if r2 is None:
-                        continue
-                    c2 = r2.core
-                    if done[c2] or r2.blocked:
-                        continue
-                    ft = admit(r2, heap, fc)
-                    if ft is not None:
-                        fences += 1
-                        if fence is None or ft < fence:
-                            fence = ft
-                continue
             elif kind == K_FMISS_BEGIN:
                 # Phase 1 of a first-touch fused transaction: the real
                 # begin (timestamp drawn in heap-pop = strict order),
@@ -922,21 +795,11 @@ class VectorEngine(Engine):
                         continue
                     runner.pulled = finished
                     runner.pulled_value = stop.value
-                    if (self._commit_local and len(frames) > 1
-                            and tx is not None
-                            and not tx.aborted and not tx.lazy_written):
-                        # Tx commit: core-local event at nt lasting
-                        # tx_commit_cycles — re-enters the heap so the
-                        # fence check orders it like any other op.
-                        item[0] = nt
-                        item[2] = [runner, core, self._tx_commit_cycles,
-                                   K_COMMIT, None, stop.value, tx]
-                        heappush(heap, item)
-                    else:
-                        fc["thread_finish"] = fc.get("thread_finish", 0) + 1
-                        fences += 1
-                        if fence is None or nt < fence:
-                            fence = nt
+                    cause = "tx_commit" if len(frames) > 1 else "thread_finish"
+                    fc[cause] = fc.get(cause, 0) + 1
+                    fences += 1
+                    if fence is None or nt < fence:
+                        fence = nt
                 break
             if nop is None:
                 continue
@@ -995,28 +858,16 @@ class VectorEngine(Engine):
         return epoch_ops, epoch_cycles, fences
 
     def _admit(self, runner, heap, fc) -> Optional[int]:
-        """Pull and classify one unblocked, unfinished core's next event.
+        """Pull and classify one unblocked, unfinished core's next event
+        for the epoch's opening scan.
 
-        Epoch-local events (including a pending restart or an inline
-        commit) are pushed onto ``heap`` and None is returned; anything
-        else bumps its cause in ``fc`` and returns the event's start time
-        so the caller can fence at it. Shared between the epoch's opening
-        scan and the in-epoch barrier release, which re-admits the whole
-        released wave mid-epoch."""
+        An epoch-local event is pushed onto ``heap`` and None is
+        returned; anything else bumps its cause in ``fc`` and returns the
+        event's start time so the caller can fence at it."""
         core = runner.core
         tx = self._tx_active[core]
         t = self._cycles[core]
         if tx is not None and tx.aborted:
-            if self._restart_local:
-                # The restart executes at this core's heap-pop time —
-                # exactly where the strict scheduler would call
-                # _restart_tx — so the backoff rng draw happens in
-                # strict order and the retried transaction re-enters
-                # the epoch instead of fencing it.
-                heapq.heappush(heap, [t, core,
-                                      [runner, core, 0, K_RESTART, None,
-                                       None, tx]])
-                return None
             fc["tx_restart"] = fc.get("tx_restart", 0) + 1
             return t
         op = runner.pulled
@@ -1041,21 +892,11 @@ class VectorEngine(Engine):
             if op is not _FINISHED:
                 runner.pulled = op
         if op is _FINISHED:
-            # A pending frame-finish: an inline-committable tx root
-            # becomes a K_COMMIT record (the commit is a core-local
-            # event lasting tx_commit_cycles); thread completion and
-            # anything irregular stay strict-phase work.
-            frames = runner.frames
-            if (self._commit_local and len(frames) > 1
-                    and frames[-1].is_tx_root
-                    and tx is not None and not tx.aborted
-                    and not tx.lazy_written):
-                heapq.heappush(heap, [t, core,
-                                      [runner, core, self._tx_commit_cycles,
-                                       K_COMMIT, None, runner.pulled_value,
-                                       tx]])
-                return None
-            fc["thread_finish"] = fc.get("thread_finish", 0) + 1
+            # A pending frame-finish: a tx root's commit or the thread's
+            # completion, both strict-phase work.
+            cause = ("tx_commit" if len(runner.frames) > 1
+                     else "thread_finish")
+            fc[cause] = fc.get(cause, 0) + 1
             return t
         rec = self._classify(runner, op, tx)
         if rec is None:
@@ -1117,16 +958,11 @@ class VectorEngine(Engine):
                     rec = self._classify_fused_miss(runner, core, op, plan, n)
                     if rec is not None:
                         return rec
-            # Not fusible (no lowering, or the target line is not a
-            # private hit yet): run the transaction *interpreted inside
-            # the epoch*. The begin itself is local — it charges
-            # tx_begin_cycles and draws its timestamp in heap-pop order,
-            # which is exactly the strict scheduler's draw order.
-            dur = self._tx_begin_cycles
-            if dur < 1:
-                self._decline = "zero_begin"
-                return None
-            return [runner, core, dur, K_BEGIN, op, None, None]
+            # Not fusible (no lowering, or the target line is neither a
+            # private hit nor a certifiable first touch): the strict
+            # phase runs the transaction interpreted.
+            self._decline = "atomic"
+            return None
 
         labeled = (self._commtm
                    and not (tx is not None and tx.labels_disabled))
@@ -1155,14 +991,8 @@ class VectorEngine(Engine):
                 return [runner, core, 1, K_PROTO, op, K_GATHER, tx]
             kind = K_LOAD
         elif cls is Barrier:
-            if tx is not None:
-                # The strict path must raise TransactionError for this.
-                self._decline = "barrier"
-                return None
-            # Arrival blocks (or, for the last arriver, releases the
-            # whole wave) at heap-pop time; the stall is resolved and
-            # charged by _maybe_release_barrier itself.
-            return [runner, core, 0, K_BARRIER, op, None, None]
+            self._decline = "barrier"
+            return None
         else:
             self._decline = "unhandled_op"
             return None  # OrderedAtomic, unknown ops
@@ -1217,8 +1047,12 @@ class VectorEngine(Engine):
         K_FMISS_BEGIN / K_FMISS_BODY). Only the true miss qualifies: a
         private copy in any state means the strict first access would
         take the fast path (different charge, no occupancy postlude)."""
+        # Begin and commit may execute inside epochs only with a nonzero
+        # latency: a zero-duration event could tie with a fenced one at
+        # the same cycle, where the strict tie-break might order the
+        # fence first.
         begin = self._tx_begin_cycles
-        if begin < 1 or not self._commit_local:
+        if begin < 1 or self._tx_commit_cycles < 1:
             return None
         if plan.idx0 < 0 or plan.idx0 + n > 8:
             return None

@@ -2,16 +2,16 @@
 
 The vector backend (``repro.sim.vector``) advances the simulation in
 fence-bounded epochs — bulk-executing provably local operations (private
-hits, think time, fused commutative transactions, interpreted tx
-begin/commit under eager detection) off a min-start heap, interleaved
-with strict per-op phases for everything else. It is a host-side
-optimization only: every simulated quantity must be *bit-identical* to
-the interpreted engine. These tests run all ten workloads — the five
-micros and the five ported applications (kmeans, vacation, ssca2,
-genome, boruvka) — under both systems (CommTM and the baseline HTM),
-plus a randomized op mix, and compare per-thread cycles,
-``parallel_cycles``, and the full ``Stats.comparable()`` dict — the
-same differential oracle the run-ahead scheduler is held to in
+hits, think time, fused commutative transactions, certified misses) off
+a min-start heap, interleaved with strict per-op phases for everything
+else (including the begin and commit of every transaction that does not
+fuse). It is a host-side optimization only: every simulated quantity
+must be *bit-identical* to the interpreted engine. These tests run all
+ten workloads — the five micros and the five ported applications
+(kmeans, vacation, ssca2, genome, boruvka) — under both systems (CommTM
+and the baseline HTM), plus a randomized op mix, and compare per-thread
+cycles, ``parallel_cycles``, and the full ``Stats.comparable()`` dict —
+the same differential oracle the run-ahead scheduler is held to in
 tests/test_runahead_equivalence.py.
 
 Composition is covered too. The coherence sanitizer is a per-op layer:
@@ -50,10 +50,11 @@ MICROS = {
 }
 
 #: The five ported applications at differential-oracle scale: big enough
-#: that every fence class fires (misses, barriers, restarts, gathers,
-#: resizes, thread finish), small enough to run the full 10-workload x
-#: 2-system matrix in tier 1. ``total_ops=None`` opts the apps out of the
-#: micro-only default in ``_run``.
+#: that every fence class fires (misses, non-fusible transactions and
+#: their commits, barriers, restarts, gathers, resizes, thread finish),
+#: small enough to run the full 10-workload x 2-system matrix in tier 1.
+#: ``total_ops=None`` opts the apps out of the micro-only default in
+#: ``_run``.
 APPS = {
     "boruvka": (boruvka.build, dict(num_nodes=48)),
     "genome": (genome.build, dict(num_segments=160, gene_length=256,
@@ -62,6 +63,25 @@ APPS = {
     "ssca2": (ssca2.build, dict(scale=5, edge_factor=3)),
     "vacation": (vacation.build, dict(num_tasks=96, relations=32)),
 }
+
+
+#: (micro, commtm) runs with no epoch to engage: topk's baseline threads
+#: run transactions back to back, and the begin and commit of a
+#: transaction that does not fuse fence the epoch, so the gate's first
+#: checkpoint rebinds the whole run to the run-ahead loop.
+NO_EPOCH_MICROS = {("topk", False)}
+
+
+def _assert_engagement(name, commtm, stats):
+    """Epochs engaged on the vector side — or, for the runs in
+    NO_EPOCH_MICROS, none did and the gate rebound the run."""
+    assert stats.host_backend == "vector"
+    if (name, commtm) in NO_EPOCH_MICROS:
+        assert stats.host_vector_epochs == 0
+        assert stats.host_vector_gated
+    else:
+        assert stats.host_vector_epochs > 0
+        assert stats.host_vector_epoch_ops > 0
 
 
 def _run(build, *, backend, commtm, seed, monkeypatch, sanitize=False,
@@ -105,13 +125,11 @@ def test_vector_is_bit_identical(name, commtm, seed, monkeypatch):
     _assert_parity(interp, vector)
 
     # The backends really ran where they claim: epochs engaged on the
-    # vector side (every micro has at least one certifiable window) and
-    # never on the interpreted side.
+    # vector side (where the micro has a certifiable window) and never on
+    # the interpreted side.
     assert interp.stats.host_backend == "interp"
     assert interp.stats.host_vector_epochs == 0
-    assert vector.stats.host_backend == "vector"
-    assert vector.stats.host_vector_epochs > 0
-    assert vector.stats.host_vector_epoch_ops > 0
+    _assert_engagement(name, commtm, vector.stats)
 
 
 @pytest.mark.parametrize("commtm", [True, False],
@@ -134,6 +152,19 @@ def test_vector_is_bit_identical_on_apps(name, commtm, monkeypatch):
         # The accumulate transaction lowers through the fused-plan
         # registry, so the closed form must actually fire.
         assert vector.stats.host_vector_fused_txs > 0
+
+
+def test_fence_causes_name_what_fenced(monkeypatch):
+    """Every fence is charged to the event that raised it: kmeans' barrier
+    waves count as "barrier" and its interpreted transactions' commits as
+    "tx_commit" — neither falls through to the catch-all."""
+    build, params = APPS["kmeans"]
+    vector = _run(build, backend="vector", commtm=True, seed=1,
+                  monkeypatch=monkeypatch, total_ops=None, **params)
+    causes = vector.stats.host_vector_fence_causes
+    assert causes["barrier"] > 0
+    assert causes["tx_commit"] > 0
+    assert "unhandled_op" not in causes
 
 
 def _random_mix(machine, num_threads: int, iters: int = 60) -> BuiltWorkload:

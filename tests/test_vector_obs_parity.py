@@ -29,7 +29,8 @@ from repro.obs import TRACE_SCHEMA, chrome_trace
 from repro.sim.vector import available
 
 from .test_obs import validate_chrome_trace
-from .test_vector_equivalence import APPS, MICROS, _assert_parity, _run
+from .test_vector_equivalence import (APPS, MICROS, _assert_engagement,
+                                      _assert_parity, _run)
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="vector backend requires numpy")
@@ -53,12 +54,11 @@ def _run_pair(build, *, commtm, seed, monkeypatch, **params):
     return interp, vector
 
 
-def _assert_obs_parity(interp, vector):
+def _assert_obs_parity(name, commtm, interp, vector):
     _assert_parity(interp, vector)
     assert _stripped_payload(interp) == _stripped_payload(vector)
     # The vector run really ran vectorized while observed.
-    assert vector.stats.host_backend == "vector"
-    assert vector.stats.host_vector_epochs > 0
+    _assert_engagement(name, commtm, vector.stats)
     # The vector-only sections exist and carry the host accounting.
     obs = vector.info["obs"]
     assert obs["hostprof"]["schema"] == "repro-obs-hostprof/1"
@@ -74,7 +74,7 @@ def test_observed_vector_micro_payloads_match(name, commtm, seed,
                                               monkeypatch):
     interp, vector = _run_pair(MICROS[name], commtm=commtm, seed=seed,
                                monkeypatch=monkeypatch)
-    _assert_obs_parity(interp, vector)
+    _assert_obs_parity(name, commtm, interp, vector)
 
 
 @pytest.mark.parametrize("commtm", [True, False],
@@ -85,7 +85,7 @@ def test_observed_vector_app_payloads_match(name, commtm, monkeypatch):
     interp, vector = _run_pair(build, commtm=commtm, seed=1,
                                monkeypatch=monkeypatch, total_ops=None,
                                **params)
-    _assert_obs_parity(interp, vector)
+    _assert_obs_parity(name, commtm, interp, vector)
     if name == "kmeans" and commtm:
         # Fused transactions fired under observation: the synthesized
         # begin/commit emissions above came from the closed form, not
