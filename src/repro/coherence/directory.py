@@ -31,20 +31,25 @@ class DirEntry:
     dirty: bool = False                  # L3 words differ from memory
 
     def check(self) -> None:
-        populated = sum(
-            1 for flag in (self.owner is not None, bool(self.sharers),
-                           bool(self.u_sharers)) if flag
-        )
-        if populated > 1:
-            raise ProtocolError(
-                f"line {self.line}: incompatible sharer sets "
-                f"(owner={self.owner}, S={self.sharers}, U={self.u_sharers})"
-            )
-        if self.u_sharers and self.u_label is None:
-            raise ProtocolError(f"line {self.line}: U sharers without label")
-        if not self.u_sharers:
+        """At most one of owner, S sharers and U sharers is populated,
+        and U sharers carry a label. Runs at every directory transition."""
+        if self.u_sharers:
+            if self.owner is not None or self.sharers:
+                self._incompatible()
+            if self.u_label is None:
+                raise ProtocolError(
+                    f"line {self.line}: U sharers without label")
+        else:
+            if self.owner is not None and self.sharers:
+                self._incompatible()
             # Label is meaningless with no U sharers.
             self.u_label = None
+
+    def _incompatible(self):
+        raise ProtocolError(
+            f"line {self.line}: incompatible sharer sets "
+            f"(owner={self.owner}, S={self.sharers}, U={self.u_sharers})"
+        )
 
     def clone(self) -> "DirEntry":
         """Copy for snapshot/restore; the label is shared by reference."""

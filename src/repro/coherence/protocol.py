@@ -7,7 +7,7 @@ HTM layer.
 
 Every public operation is logically atomic (the engine interleaves cores at
 operation granularity) and returns an :class:`AccessResult` whose ``cycles``
-field carges the issuing core with Table I latencies:
+field charges the issuing core with Table I latencies:
 
 * L1 hit: L1 latency.
 * Private (L2) hit: L1 + L2.
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set
 from ..errors import ProtocolError, ReductionError
 from ..mem.address import line_of, word_index, check_word_aligned
 from ..mem.memory import MainMemory
-from ..params import LINE_BYTES, SystemConfig, WORD_BYTES
+from ..params import LINE_BYTES, SystemConfig, WORD_BYTES, WORDS_PER_LINE
 from ..sim.stats import Stats, WastedCause
 from ..core.labels import HandlerContext, Label, LabelRegistry
 from .cache import PrivateCache
@@ -111,7 +111,6 @@ class MemorySystem:
         self.labels = labels
         self.stats = stats
         self.rng = rng
-        self.mesh = Mesh(config.noc)
         self.caches: List[PrivateCache] = []
         for core in range(config.num_cores):
             cache = PrivateCache(core, config.l1, config.l2)
@@ -146,22 +145,35 @@ class MemorySystem:
         #: serialize (the effect that makes conventional HTMs flat-line on
         #: contended counters, and that U-state local hits bypass).
         self._line_busy: Dict[int, int] = {}
-        # Precomputed latency tables: directory round-trip latency and hop
-        # count depend only on (core tile, home bank), so the per-access
-        # mesh geometry walk collapses to two list lookups.
+        # NoC geometry, tabulated once from Mesh (the single definition):
+        # every directory, fan-out and forward charge below, and the
+        # vector certifier, is a list lookup into these tables.
+        mesh = Mesh(config.noc)
+        tiles = range(config.noc.num_tiles)
+        #: Tile of each core.
+        self._tile_of = [config.tile_of_core(c)
+                         for c in range(config.num_cores)]
+        #: One-way latency and hop count, tile x tile.
+        self._tile_lat = [[mesh.latency(a, b) for b in tiles] for a in tiles]
+        self._tile_hops = [[mesh.hops(a, b) for b in tiles] for a in tiles]
         self._l3_banks = config.l3_banks
-        self._dir_rt = [
-            [self.mesh.round_trip(self._core_tile(core),
-                                  bank % config.noc.num_tiles)
-             for bank in range(config.l3_banks)]
-            for core in range(config.num_cores)
-        ]
-        self._dir_hops2 = [
-            [self.mesh.hops(self._core_tile(core),
-                            bank % config.noc.num_tiles) * 2
-             for bank in range(config.l3_banks)]
-            for core in range(config.num_cores)
-        ]
+        bank_tiles = [bank % config.noc.num_tiles
+                      for bank in range(config.l3_banks)]
+        #: Per bank (``line_no % l3_banks``), the invalidation round trip
+        #: from its tile to each core; rows of banks on one tile are shared.
+        rt_rows = [[2 * self._tile_lat[t][ct] for ct in self._tile_of]
+                   for t in tiles]
+        self._bank_rt = [rt_rows[t] for t in bank_tiles]
+        # Directory round trip and two-way hop count, [core][bank]; cores
+        # on one tile share a row.
+        dir_rt = [[2 * self._tile_lat[t][bt] for bt in bank_tiles]
+                  for t in tiles]
+        dir_hops2 = [[2 * self._tile_hops[t][bt] for bt in bank_tiles]
+                     for t in tiles]
+        self._dir_rt = [dir_rt[t] for t in self._tile_of]
+        self._dir_hops2 = [dir_hops2[t] for t in self._tile_of]
+        #: Fixed shadow-thread cost of merging/splitting one line.
+        self._handler_cost = config.reduction_cycles_per_word * WORDS_PER_LINE
         self._l1_latency = config.l1.latency
         self._l12_latency = config.l1.latency + config.l2.latency
 
@@ -184,16 +196,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Latency helpers
     # ------------------------------------------------------------------
-
-    def _bank_tile(self, line_no: int) -> int:
-        bank = line_no % self.config.l3_banks
-        return bank % self.config.noc.num_tiles
-
-    def _core_tile(self, core: int) -> int:
-        return self.config.tile_of_core(core)
-
-    def _dir_round_trip(self, core: int, line_no: int) -> int:
-        return self._dir_rt[core][line_no % self._l3_banks]
 
     def _private_lookup_cycles(self, l1_hit: bool) -> int:
         if l1_hit:
@@ -237,10 +239,8 @@ class MemorySystem:
 
     def _charge_inval_fanout(self, line_no: int, victims, res: AccessResult) -> None:
         """Invalidations fan out in parallel from the line's bank."""
-        bank = self._bank_tile(line_no)
-        tiles = [self._core_tile(v) for v in victims]
-        if tiles:
-            res.cycles += self.mesh.max_latency_from(bank, tiles) * 2
+        row = self._bank_rt[line_no % self._l3_banks]
+        res.cycles += max(map(row.__getitem__, victims), default=0)
 
     def _charge_forward(self, src_core: int, dst_core: int,
                         res: AccessResult) -> None:
@@ -248,11 +248,11 @@ class MemorySystem:
 
     def _forward_latency(self, src_core: int, dst_core: int) -> int:
         """Latency of one cache-to-cache data forward; records traffic."""
+        src = self._tile_of[src_core]
+        dst = self._tile_of[dst_core]
         self.stats.forwards += 1
-        self.stats.noc_hops += self.mesh.hops(self._core_tile(src_core),
-                                              self._core_tile(dst_core))
-        return self.mesh.latency(self._core_tile(src_core),
-                                 self._core_tile(dst_core))
+        self.stats.noc_hops += self._tile_hops[src][dst]
+        return self._tile_lat[src][dst]
 
     # ------------------------------------------------------------------
     # Handler context (reduction / splitter memory access)
@@ -294,11 +294,6 @@ class MemorySystem:
             self.stats.shadow_thread_cycles += inner.cycles
 
         return HandlerContext(read, write)
-
-    def _handler_cost(self, label: Label) -> int:
-        """Fixed shadow-thread cost of merging/splitting one line."""
-        from ..params import WORDS_PER_LINE
-        return self.config.reduction_cycles_per_word * WORDS_PER_LINE
 
     # ------------------------------------------------------------------
     # Conflict helpers
@@ -1106,8 +1101,8 @@ class MemorySystem:
                     merged = data
                 else:
                     merged = label.reduce(hctx, merged, data)
-                    res.cycles += self._handler_cost(label)
-                    self.stats.shadow_thread_cycles += self._handler_cost(label)
+                    res.cycles += self._handler_cost
+                    self.stats.shadow_thread_cycles += self._handler_cost
                 self.caches[sharer].drop(line_no)
                 self.directory.drop_sharer(ent, sharer)
                 self.stats.invalidations += 1
@@ -1266,7 +1261,7 @@ class MemorySystem:
                 sharer_ctx = self.handler_context(sharer, res)
                 kept, donated = label.split(sharer_ctx, list(ventry.words),
                                             num_sharers)
-                cost = self._handler_cost(label)
+                cost = self._handler_cost
                 self.stats.shadow_thread_cycles += cost
                 self.stats.splits += 1
                 # The split is non-speculative: it rewrites the sharer's
@@ -1316,7 +1311,7 @@ class MemorySystem:
         per merge — exactly what the in-loop sequential path charges."""
         if len(rows) == 1:
             return rows[0]
-        cost = self._handler_cost(label) * (len(rows) - 1)
+        cost = self._handler_cost * (len(rows) - 1)
         res.cycles += cost
         self.stats.shadow_thread_cycles += cost
         kernel = self.reduction_kernel
@@ -1351,7 +1346,7 @@ class MemorySystem:
                 clean = kernel(label, [list(entry.clean_words), *donations])
             if merged is not None and (entry.clean_words is None
                                        or clean is not None):
-                cost = self._handler_cost(label) * len(donations)
+                cost = self._handler_cost * len(donations)
                 res.cycles += cost
                 self.stats.shadow_thread_cycles += cost
                 entry.words = merged
@@ -1362,7 +1357,7 @@ class MemorySystem:
         self._in_handler = True
         try:
             for donated in donations:
-                cost = self._handler_cost(label)
+                cost = self._handler_cost
                 res.cycles += cost
                 self.stats.shadow_thread_cycles += cost
                 entry.words = label.reduce(hctx, list(entry.words), donated)

@@ -26,6 +26,7 @@ from typing import Optional
 
 from ...coherence.messages import AccessKind
 from ...coherence.states import State
+from ...params import LINE_BYTES
 
 _M = State.M
 _E = State.E
@@ -62,7 +63,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
 
     The predicted latency mirrors ``_charge_dir_access`` /
     ``_charge_inval_fanout`` / ``_forward_latency`` /
-    ``_apply_occupancy`` using only pure mesh geometry.
+    ``_apply_occupancy``, reading the same per-machine NoC tables
+    (``_dir_rt``, ``_bank_rt``, ``_tile_of``, ``_tile_lat``).
 
     ``spec`` marks a transactional (speculative) requester. The same
     transitions certify, with two extra obligations: no victim
@@ -74,7 +76,7 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     cache = msys.caches[core]
     l1_lat = msys._l1_latency
     l12_lat = msys._l12_latency
-    line_no = addr // 64
+    line_no = addr // LINE_BYTES
     entry = cache.lookup(line_no)
     directory = msys.directory
     ent = directory.peek(line_no)
@@ -116,7 +118,9 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     dir_rt = msys._dir_rt[core][bank]
     l3lat = config.l3.latency
     stall = max(0, msys._line_busy.get(line_no, 0) - now)
-    mesh = msys.mesh
+    fanout_rt = msys._bank_rt[bank]
+    tile_of = msys._tile_of
+    tile_lat = msys._tile_lat
     caches = msys.caches
     base = l12_lat + dir_rt + l3lat  # every miss route below
 
@@ -150,12 +154,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
                 return None
             if not l2_install_safe(cache, line_no):
                 return None
-            fanout = mesh.max_latency_from(
-                msys._bank_tile(line_no),
-                [msys._core_tile(owner)]) * 2
-            fwd = mesh.latency(msys._core_tile(owner),
-                               msys._core_tile(core))
-            return base + fanout + fwd + stall
+            fwd = tile_lat[tile_of[owner]][tile_of[core]]
+            return base + fanout_rt[owner] + fwd + stall
         if ent.u_sharers:
             return _certify_reduce(msys, core, line_no, ent, cache)
         if not l2_install_safe(cache, line_no):
@@ -188,15 +188,10 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
                 return None  # lost line raises; spec line conflicts
             vst = ventry.state
             if vst is _M or vst is _E:
-                fwd = mesh.latency(msys._core_tile(victim),
-                                   msys._core_tile(core))
+                fwd = tile_lat[tile_of[victim]][tile_of[core]]
         if entry is None and not l2_install_safe(cache, line_no):
             return None  # an S copy upgrades in place, no install
-        fanout = 0
-        if victims:
-            fanout = mesh.max_latency_from(
-                msys._bank_tile(line_no),
-                [msys._core_tile(v) for v in victims]) * 2
+        fanout = max(map(fanout_rt.__getitem__, victims), default=0)
         return base + fanout + fwd + stall
 
     # LABELED_LOAD / LABELED_STORE miss (I or S): GETU, Sec. III-B3
@@ -230,9 +225,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
             return None  # case 5 NACK-checks *any* speculative bit
         if not l2_install_safe(cache, line_no):
             return None
-        fanout = mesh.max_latency_from(msys._bank_tile(line_no),
-                                       [msys._core_tile(owner)]) * 2
-        return base + fanout + stall  # owner keeps data: no forward
+        # Owner keeps its data: no forward.
+        return base + fanout_rt[owner] + stall
     # Cases 1-2: invalidate S sharers, install the L3 data.
     victims = [s for s in ent.sharers if s != core]
     for victim in victims:
@@ -241,11 +235,7 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
             return None
     if entry is None and not l2_install_safe(cache, line_no):
         return None  # an own S copy is dropped first: no net growth
-    fanout = 0
-    if victims:
-        fanout = mesh.max_latency_from(
-            msys._bank_tile(line_no),
-            [msys._core_tile(v) for v in victims]) * 2
+    fanout = max(map(fanout_rt.__getitem__, victims), default=0)
     return base + fanout + stall
 
 

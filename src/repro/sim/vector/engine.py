@@ -104,6 +104,7 @@ from typing import List, Optional
 from ...coherence.messages import AccessKind, Requester
 from ...coherence.states import State
 from ...errors import SimulationError
+from ...params import LINE_BYTES
 from ...runtime.ops import (
     Atomic,
     Barrier,
@@ -603,8 +604,8 @@ class VectorEngine(Engine):
                     else:
                         cols.pred_misses += 1
                         if obs is not None:
-                            obs.vector_mispredict(core, t, op.addr // 64,
-                                                  pred, dur)
+                            obs.vector_mispredict(
+                                core, t, op.addr // LINE_BYTES, pred, dur)
                 proto_mutated = True
                 self._fused_ok.clear()
             elif kind == K_FMISS_BEGIN:
@@ -750,9 +751,9 @@ class VectorEngine(Engine):
                     # line once per access (with the label only when the
                     # access routed as labeled).
                     if kind == K_LOAD or kind == K_STORE:
-                        obs.touch(op.addr // 64)
+                        obs.touch(op.addr // LINE_BYTES)
                     else:
-                        obs.touch(op.addr // 64, op.label)
+                        obs.touch(op.addr // LINE_BYTES, op.label)
                 if kind == K_LOAD or kind == K_LLOAD:
                     value, dur = fast
                     runner.pending_value = value
@@ -1002,7 +1003,7 @@ class VectorEngine(Engine):
             self._decline = "misaligned"
             return None  # misaligned: slow path raises
         cache = self._caches[core]
-        entry = cache.peek_line(addr // 64)
+        entry = cache.peek_line(addr // LINE_BYTES)
         hit = entry is not None
         if hit:
             st = entry.state

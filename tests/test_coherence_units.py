@@ -1,17 +1,21 @@
 """Coherence building blocks: states, NoC, cache lines, private cache,
 directory."""
 
+import random
+
 import pytest
 
+from repro import Machine
 from repro.coherence.cache import PrivateCache
 from repro.coherence.directory import Directory, DirEntry
 from repro.coherence.line import CacheLine
+from repro.coherence.messages import AccessResult
 from repro.coherence.noc import Mesh
 from repro.coherence.states import State
 from repro.core.labels import add_label
 from repro.errors import ProtocolError
 from repro.mem.memory import MainMemory
-from repro.params import CacheGeometry, NocConfig
+from repro.params import CacheGeometry, NocConfig, SystemConfig, small_config
 
 ADD = add_label()
 
@@ -70,6 +74,72 @@ class TestMesh:
         assert self.mesh.max_latency_from(0, []) == 0
         worst = self.mesh.max_latency_from(0, [1, 15])
         assert worst == self.mesh.latency(0, 15)
+
+
+#: The Table I 4x4 mesh, the 2x2 test mesh, and a non-square mesh (which
+#: catches a width/height transposition) whose bank count wraps the tiles.
+NOC_CONFIGS = {
+    "4x4-128c-16b": lambda: SystemConfig(),
+    "2x2-8c-4b": lambda: small_config(),
+    "4x2-32c-12b": lambda: small_config(
+        num_cores=32, noc=NocConfig(mesh_width=4, mesh_height=2),
+        l3_banks=12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOC_CONFIGS))
+class TestNocTables:
+    """The memory system's per-machine NoC tables against Mesh."""
+
+    def _build(self, name):
+        config = NOC_CONFIGS[name]()
+        return config, Machine(config).msys, Mesh(config.noc)
+
+    def test_tables_match_mesh(self, name):
+        config, msys, mesh = self._build(name)
+        tiles = range(config.noc.num_tiles)
+        tile_of = [config.tile_of_core(c) for c in range(config.num_cores)]
+        assert msys._tile_of == tile_of
+        for a in tiles:
+            for b in tiles:
+                assert msys._tile_lat[a][b] == mesh.latency(a, b)
+                assert msys._tile_hops[a][b] == mesh.hops(a, b)
+        assert len(msys._bank_rt) == config.l3_banks
+        for bank in range(config.l3_banks):
+            bank_tile = bank % config.noc.num_tiles
+            for core, tile in enumerate(tile_of):
+                assert msys._bank_rt[bank][core] == \
+                    2 * mesh.latency(bank_tile, tile)
+                assert msys._dir_rt[core][bank] == \
+                    mesh.round_trip(tile, bank_tile)
+                assert msys._dir_hops2[core][bank] == \
+                    2 * mesh.hops(tile, bank_tile)
+
+    def test_fanout_matches_max_latency_from(self, name):
+        config, msys, mesh = self._build(name)
+        rng = random.Random(15)
+        for _ in range(300):
+            line_no = rng.randrange(1 << 20)
+            victims = rng.sample(range(config.num_cores),
+                                 rng.randint(0, min(12, config.num_cores)))
+            res = AccessResult(cycles=3)
+            msys._charge_inval_fanout(line_no, victims, res)
+            bank_tile = (line_no % config.l3_banks) % config.noc.num_tiles
+            tiles = [config.tile_of_core(v) for v in victims]
+            assert res.cycles == 3 + 2 * mesh.max_latency_from(bank_tile,
+                                                               tiles)
+
+    def test_forward_matches_mesh(self, name):
+        config, msys, mesh = self._build(name)
+        rng = random.Random(16)
+        for _ in range(300):
+            src, dst = rng.randrange(config.num_cores), \
+                rng.randrange(config.num_cores)
+            forwards, hops = msys.stats.forwards, msys.stats.noc_hops
+            st, dt = config.tile_of_core(src), config.tile_of_core(dst)
+            assert msys._forward_latency(src, dst) == mesh.latency(st, dt)
+            assert msys.stats.forwards == forwards + 1
+            assert msys.stats.noc_hops == hops + mesh.hops(st, dt)
 
 
 class TestCacheLine:
