@@ -20,8 +20,8 @@ this JSON once recorded is gone by construction), and a 16-point sweep
 that engages the persistent worker pool at ``jobs=4``. Single runs also
 record ``fastpath_hit_rate`` (the fraction of memory accesses served by
 the coherence protocol's private-hit fast path) and ``fastpath_speedup``
-(wall-clock ratio against a full-protocol-handler run in the same
-process, selected by the engine's test-only ``_NO_FASTPATH`` flag),
+(wall-clock ratio against a run in the same process whose handlers skip
+the probe, selected by the engine's test-only ``_NO_FASTPATH`` flag),
 ``runahead`` (wall-clock ratio against a single-step-scheduler run,
 selected by ``_NO_RUNAHEAD``, with the run-ahead loop's ops-per-quantum
 batching factor), plus the wall-clock cost of the opt-in instrumentation
@@ -243,15 +243,12 @@ def test_sim_throughput(tmp_path, monkeypatch):
                 "miss_mispredicts": vstats.host_vector_miss_mispredicts,
             }
 
-        # ``hit_rate`` is None ("disabled") only when no attempt was
-        # made; a run the adaptive gate turned off mid-way still reports
-        # its observed (sub-threshold) rate.
+        # ``hit_rate`` is None ("disabled") only when no attempt was made.
         assert slow_result.stats.comparable() == result.stats.comparable()
         hit_rate = result.stats.fastpath_hit_rate
         report["fastpath"][name] = {
             "hit_rate": ("disabled" if hit_rate is None
                          else round(hit_rate, 4)),
-            "gated": result.stats.host_fastpath_gated,
             "speedup": round(slow_wall / wall, 3),
         }
 

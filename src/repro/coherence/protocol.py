@@ -352,8 +352,10 @@ class MemorySystem:
     # bit-identical to the slow path by construction: every state
     # mutation (LRU touch, speculative bits, write versioning, silent
     # E->M upgrade) is the same code the slow path would run, in the same
-    # order. The engine's full-handler table skips them entirely; it is the
-    # reference ``tests/test_fastpath_equivalence.py`` compares against.
+    # order. The engine's memory-op handlers call them first unless the
+    # probe is off (obs, or the test-only ``_NO_FASTPATH``), and the
+    # probe-off run is the reference ``tests/test_fastpath_equivalence.py``
+    # compares against.
     # ------------------------------------------------------------------
 
     def fast_load(self, core: int, addr: int, speculative: bool):

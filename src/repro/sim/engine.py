@@ -30,8 +30,14 @@ interleaving is *identical* to one-pop-per-op scheduling — see
 scheduler loop: the interpreted run drives it with an unbounded op budget,
 and the vector backend (:mod:`repro.sim.vector`) drives it in bursts
 between epoch attempts. The stepped loop (``_run_stepped``, one
-``CoreClocks.next_core`` per op) and the full-protocol handler table are
-kept as the references the differential tests compare against.
+``CoreClocks.next_core`` per op) is kept as the reference the
+differential tests compare against.
+
+Each memory op type has one handler. It first probes the coherence
+protocol's private-hit fast path (``MemorySystem.fast_*``) and takes the
+full protocol path on anything else; with the probe off (an Observer is
+installed, or the test-only ``_NO_FASTPATH``) the same handlers run the
+full path alone, which is the fast path's differential reference.
 """
 
 from __future__ import annotations
@@ -66,25 +72,13 @@ _FINISHED = object()
 
 #: Test-only switches selecting the references the differential oracles
 #: compare against: ``_NO_RUNAHEAD`` makes ``Engine.run`` use the stepped
-#: scheduler, ``_NO_FASTPATH`` makes new Engines bind the full-protocol
-#: memory handlers. Tests monkeypatch them; nothing else sets them.
+#: scheduler, ``_NO_FASTPATH`` makes new Engines' memory handlers skip the
+#: private-hit probe. Tests monkeypatch them; nothing else sets them.
 _NO_RUNAHEAD = False
 _NO_FASTPATH = False
 
 #: Op budget that never runs out: ``_scheduler`` drains the ready heap.
 _UNBOUNDED = sys.maxsize
-
-#: Adaptive fast-path gate. Attempting the private-hit fast path costs a
-#: failed lookup before the full protocol path on every miss, so on
-#: workloads that mostly miss (heavily shared lines under the baseline HTM)
-#: it is a net host-side loss. Once this many memory operations have
-#: attempted the fast path, an Engine whose observed hit rate is below
-#: FASTPATH_GATE_MIN_HIT_RATE rebinds the memory-op handlers to the full
-#: path for the rest of the run. Host-only decision: the full handlers are
-#: bit-identical to the fast ones (tests/test_fastpath_equivalence.py), so
-#: simulated results cannot change — only wall-clock does.
-FASTPATH_GATE_WARMUP = 512
-FASTPATH_GATE_MIN_HIT_RATE = 0.5
 
 
 def _obs_noop(*args) -> None:
@@ -164,9 +158,12 @@ class Engine:
         self._eager = self.config.conflict_detection != "lazy"
         self._tx_begin_cycles = self.config.tx_begin_cycles
         self._tx_commit_cycles = self.config.tx_commit_cycles
-        # Memory operations dispatch to the private-hit fast path by
-        # default; the ``_op_*_fast`` handlers fall back to the full
-        # handlers on anything but a stable private hit.
+        # The private-hit probes, also bound for the vector backend's
+        # epochs. ``_probe`` is False under an Observer (fast private hits
+        # never reach MemorySystem's public ops, where the protocol-level
+        # hooks live) and under the test-only ``_NO_FASTPATH``; the full
+        # path alone is bit-identical (tests/test_fastpath_equivalence.py),
+        # so observing cannot change simulated results.
         self._fast_load = self.msys.fast_load
         self._fast_store = self.msys.fast_store
         self._fast_labeled_load = self.msys.fast_labeled_load
@@ -179,61 +176,36 @@ class Engine:
         self._obs_tx_retry = obs.tx_retry if obs is not None else _obs_noop
         self._obs_tx_commit = obs.tx_commit if obs is not None else _obs_noop
         self._obs_tx_abort = obs.tx_abort if obs is not None else _obs_noop
-        # Observing forces the full handlers: fast private hits never reach
-        # MemorySystem's public ops where the protocol-level hooks live.
-        # The full handlers are proven bit-identical to the fast ones by
-        # tests/test_fastpath_equivalence.py — so enabling observability
-        # cannot change simulated results.
-        # Whether memory ops currently attempt the fast path (drives the
-        # host_fastpath_misses attempt counter) and whether the adaptive
-        # gate still has a decision to make (one-shot, at the end of the
-        # warmup window).
-        self._fastpath_attempting = not _NO_FASTPATH and obs is None
-        self._gate_pending = self._fastpath_attempting
-        if self._fastpath_attempting:
-            if self._commtm:
-                labeled_load = self._op_labeled_load_fast
-                labeled_store = self._op_labeled_store_fast
-                gather = self._op_load_gather_fast
-            else:
-                # The baseline HTM executes labeled operations as
-                # conventional loads and stores.
-                labeled_load = gather = self._op_load_fast
-                labeled_store = self._op_store_fast
-            self._handlers = {
-                Atomic: self._op_atomic,
-                Work: self._op_work,
-                Barrier: self._op_barrier,
-                Load: self._op_load_fast,
-                Store: self._op_store_fast,
-                LabeledLoad: labeled_load,
-                LabeledStore: labeled_store,
-                LoadGather: gather,
-            }
-            # When sanitizing, checkpoint after every memory op. Fast-path
-            # private hits never reach MemorySystem's public ops (where the
-            # slow-path checkpoint lives), so the handler table itself is
-            # wrapped — the table is rebuilt per Engine, so the unsanitized
-            # hot path keeps its direct bindings.
-            sanitizer = getattr(machine, "sanitizer", None)
-            if sanitizer is not None:
-                for op_cls in (Load, Store, LabeledLoad, LabeledStore,
-                               LoadGather):
-                    self._handlers[op_cls] = self._sanitized_handler(
-                        self._handlers[op_cls], sanitizer.check)
+        self._probe = not _NO_FASTPATH and obs is None
+        if self._commtm:
+            labeled_load = self._op_labeled_load
+            labeled_store = self._op_labeled_store
+            gather = self._op_load_gather
         else:
-            # Full handlers route through MemorySystem's public ops, which
-            # already checkpoint when machine.sanitizer is installed.
-            self._handlers = {
-                Atomic: self._op_atomic,
-                Work: self._op_work,
-                Barrier: self._op_barrier,
-                Load: self._op_load,
-                Store: self._op_store,
-                LabeledLoad: self._op_labeled_load,
-                LabeledStore: self._op_labeled_store,
-                LoadGather: self._op_load_gather,
-            }
+            # The baseline HTM executes labeled operations as
+            # conventional loads and stores.
+            labeled_load = gather = self._op_load
+            labeled_store = self._op_store
+        self._handlers = {
+            Atomic: self._op_atomic,
+            Work: self._op_work,
+            Barrier: self._op_barrier,
+            Load: self._op_load,
+            Store: self._op_store,
+            LabeledLoad: labeled_load,
+            LabeledStore: labeled_store,
+            LoadGather: gather,
+        }
+        # When sanitizing, checkpoint after every memory op. Private hits
+        # never reach MemorySystem's public ops (where the full path's
+        # checkpoint lives), so the probing handlers are wrapped; the
+        # table is built per Engine, so the unsanitized hot path keeps
+        # its direct bindings.
+        sanitizer = getattr(machine, "sanitizer", None)
+        if sanitizer is not None and self._probe:
+            for op_cls in MEMORY_OPS:
+                self._handlers[op_cls] = self._sanitized_handler(
+                    self._handlers[op_cls], sanitizer.check)
 
     @staticmethod
     def _sanitized_handler(handler, check):
@@ -548,140 +520,31 @@ class Engine:
                 self.clocks.reschedule(core)
 
     # ------------------------------------------------------------------
-    # Memory operations. One handler per op type (type-keyed dispatch);
-    # all share the _after_memory_op postlude. The baseline HTM
-    # (commtm_enabled=False) and restarted transactions with labels
-    # disabled execute labeled operations conventionally.
-    #
-    # The ``_op_*_fast`` variants try the coherence protocol's private-hit
-    # fast path first (see MemorySystem.fast_load and friends): a stable
-    # hit comes back as a bare (value, cycles) tuple — no Requester, no
-    # AccessResult, no occupancy bookkeeping — and anything else falls
-    # through to the full handler. A fast hit can still abort this core's
-    # own transaction through the L1 spec-eviction hook inside the LRU
-    # touch, so the postlude's aborted check is preserved inline.
-
-    # The charge+deliver postlude is written out inline in each fast
-    # handler (rather than shared through a helper): it is the equivalent
-    # of :meth:`_charge` with the transaction already in hand, and the
-    # handlers run once per memory operation. ``tx.aborted`` is re-read
-    # after the hit because the LRU touch can self-abort; an aborted hit
-    # never delivers a value (mirrors ``_after_memory_op``).
-
-    def _op_load_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        fast = self._fast_load(core, op.addr, tx is not None)
-        if fast is None:
-            self._op_load(runner, op)
-            return
-        cycles = fast[1]
-        self.stats.instructions += 1
-        if tx is None:
-            self._breakdown[core].non_tx += cycles
-            runner.pending_value = fast[0]
-        elif tx.aborted:
-            self._breakdown[core].tx_aborted += cycles
-            self.stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            self._breakdown[core].tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-            runner.pending_value = fast[0]
-        self._cycles[core] += cycles
-
-    def _op_store_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if tx is None:
-            cycles = self._fast_store(core, op.addr, op.value, False)
-            if cycles is not None:
-                self.stats.instructions += 1
-                self._breakdown[core].non_tx += cycles
-                self._cycles[core] += cycles
-                return
-        elif self._eager:  # lazy tx stores buffer; full path
-            cycles = self._fast_store(core, op.addr, op.value, True)
-            if cycles is not None:
-                self.stats.instructions += 1
-                if tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                self._cycles[core] += cycles
-                return
-        self._op_store(runner, op)
-
-    # The CommTM labeled handlers below are bound only when CommTM is
-    # enabled (the baseline binds the conventional handlers above); a
-    # restarted transaction with labels disabled takes the conventional
-    # route through those same handlers.
-
-    def _op_labeled_load_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if tx is not None and tx.labels_disabled:
-            self._op_load_fast(runner, op)
-            return
-        fast = self._fast_labeled_load(core, op.addr, op.label,
-                                       tx is not None)
-        if fast is None:
-            self._op_labeled_load(runner, op)
-            return
-        cycles = fast[1]
-        stats = self.stats
-        stats.instructions += 1
-        stats.labeled_instructions += 1
-        stats.labeled_by_label[op.label.name] += 1
-        if tx is None:
-            self._breakdown[core].non_tx += cycles
-            runner.pending_value = fast[0]
-        elif tx.aborted:
-            self._breakdown[core].tx_aborted += cycles
-            stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            self._breakdown[core].tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-            runner.pending_value = fast[0]
-        self._cycles[core] += cycles
-
-    def _op_labeled_store_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if tx is not None and tx.labels_disabled:
-            self._op_store_fast(runner, op)
-            return
-        cycles = self._fast_labeled_store(core, op.addr, op.label,
-                                          op.value, tx is not None)
-        if cycles is None:
-            self._op_labeled_store(runner, op)
-            return
-        stats = self.stats
-        stats.instructions += 1
-        stats.labeled_instructions += 1
-        stats.labeled_by_label[op.label.name] += 1
-        if tx is None:
-            self._breakdown[core].non_tx += cycles
-        elif tx.aborted:
-            self._breakdown[core].tx_aborted += cycles
-            stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            self._breakdown[core].tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-        self._cycles[core] += cycles
-
-    def _op_load_gather_fast(self, runner: ThreadRunner, op) -> None:
-        tx = self._tx_active[runner.core]
-        if tx is not None and tx.labels_disabled:
-            self._op_load_fast(runner, op)
-        else:
-            self._op_load_gather(runner, op)
+    # Memory operations. One handler per op type (type-keyed dispatch).
+    # Each first probes the protocol's private-hit fast path (see
+    # MemorySystem.fast_load and friends) when ``_probe`` is set: a stable
+    # hit comes back as a bare value/cycles pair, with no Requester, no
+    # AccessResult and no occupancy bookkeeping, and is charged here. A
+    # hit can still abort this core's own transaction through the L1
+    # spec-eviction hook inside the LRU touch, so an aborted hit delivers
+    # no value. Anything else takes the full protocol path and the shared
+    # _after_memory_op postlude. The baseline HTM (commtm_enabled=False)
+    # binds the labeled op types to _op_load/_op_store, and a restarted
+    # transaction with labels disabled delegates to the same two.
 
     def _op_load(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
-        self.stats.instructions += 1
+        stats = self.stats
+        stats.instructions += 1
+        if self._probe:
+            fast = self._fast_load(core, op.addr, tx is not None)
+            if fast is not None:
+                self._charge(core, fast[1])
+                if tx is None or not tx.aborted:
+                    runner.pending_value = fast[0]
+                return
+            stats.host_fastpath_misses += 1
         res = self.msys.load(
             core, op.addr,
             Requester(core, tx.ts if tx is not None else None,
@@ -691,7 +554,15 @@ class Engine:
     def _op_store(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
-        self.stats.instructions += 1
+        stats = self.stats
+        stats.instructions += 1
+        # Lazy transactional stores buffer, so only the full path applies.
+        if self._probe and (tx is None or self._eager):
+            cycles = self._fast_store(core, op.addr, op.value, tx is not None)
+            if cycles is not None:
+                self._charge(core, cycles)
+                return
+            stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
         res = self._conventional_store(core, op.addr, op.value, requester, tx)
@@ -700,66 +571,68 @@ class Engine:
     def _op_labeled_load(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
+        if tx is not None and tx.labels_disabled:
+            self._op_load(runner, op)
+            return
         stats = self.stats
         stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
+        if self._probe:
+            fast = self._fast_labeled_load(core, op.addr, op.label,
+                                           tx is not None)
+            if fast is not None:
+                self._charge(core, fast[1])
+                if tx is None or not tx.aborted:
+                    runner.pending_value = fast[0]
+                return
+            stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            res = self.msys.load(core, op.addr, requester)
-        else:
-            stats.labeled_instructions += 1
-            stats.labeled_by_label[op.label.name] += 1
-            res = self.msys.labeled_load(core, op.addr, op.label, requester)
+        res = self.msys.labeled_load(core, op.addr, op.label, requester)
         self._after_memory_op(runner, core, res)
 
     def _op_labeled_store(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
+        if tx is not None and tx.labels_disabled:
+            self._op_store(runner, op)
+            return
         stats = self.stats
         stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
+        if self._probe:
+            cycles = self._fast_labeled_store(core, op.addr, op.label,
+                                              op.value, tx is not None)
+            if cycles is not None:
+                self._charge(core, cycles)
+                return
+            stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            res = self._conventional_store(core, op.addr, op.value,
-                                           requester, tx)
-        else:
-            stats.labeled_instructions += 1
-            stats.labeled_by_label[op.label.name] += 1
-            res = self.msys.labeled_store(core, op.addr, op.label,
-                                          op.value, requester)
+        res = self.msys.labeled_store(core, op.addr, op.label, op.value,
+                                      requester)
         self._after_memory_op(runner, core, res)
 
     def _op_load_gather(self, runner: ThreadRunner, op) -> None:
+        # A gather always transacts with the directory: nothing to probe.
         core = runner.core
         tx = self._tx_active[core]
+        if tx is not None and tx.labels_disabled:
+            self._op_load(runner, op)
+            return
         stats = self.stats
         stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            res = self.msys.load(core, op.addr, requester)
-        else:
-            stats.labeled_instructions += 1
-            stats.labeled_by_label[op.label.name] += 1
-            res = self.msys.load_gather(core, op.addr, op.label, requester)
+        res = self.msys.load_gather(core, op.addr, op.label, requester)
         self._after_memory_op(runner, core, res)
 
     def _after_memory_op(self, runner: ThreadRunner, core: int, res) -> None:
-        stats = self.stats
-        if self._fastpath_attempting:
-            # Only a genuine fast-path attempt counts as a miss; with the
-            # fast path disabled or gated off there is no attempt, and
-            # Stats.fastpath_hit_rate reports None instead of 0.0.
-            stats.host_fastpath_misses += 1
-            if self._gate_pending:
-                attempts = stats.host_fastpath_hits + stats.host_fastpath_misses
-                if attempts >= FASTPATH_GATE_WARMUP:
-                    self._gate_pending = False
-                    if (stats.host_fastpath_hits
-                            < attempts * FASTPATH_GATE_MIN_HIT_RATE):
-                        self._disable_fastpath()
         self._charge(core, res.cycles)
-
         tx = self._tx_active[core]
         if res.abort_requester:
             if tx is None:
@@ -772,31 +645,6 @@ class Engine:
         if tx is not None and tx.aborted:
             return  # aborted as a victim mid-operation (self-abort path)
         runner.pending_value = res.value
-
-    def _disable_fastpath(self) -> None:
-        """Adaptive gate: rebind the memory-op handlers to the full protocol
-        path for the rest of this run (the hit rate stayed below threshold
-        through the warmup window, so the failed fast-path probe is a net
-        host-side cost per op). The table is mutated in place — the run
-        loops hold a local alias — and memoized subclass entries are
-        dropped so they re-resolve through the MRO. Sanitized runs lose the
-        engine-level checkpoint wrappers here, but the full handlers go
-        through MemorySystem's public ops, which checkpoint on their own.
-        Host-only: simulated results are bit-identical either way."""
-        self._fastpath_attempting = False
-        self.stats.host_fastpath_gated = True
-        handlers = self._handlers
-        full = {
-            Load: self._op_load,
-            Store: self._op_store,
-            LabeledLoad: self._op_labeled_load,
-            LabeledStore: self._op_labeled_store,
-            LoadGather: self._op_load_gather,
-        }
-        for cls in [c for c in handlers
-                    if c not in full and issubclass(c, MEMORY_OPS)]:
-            del handlers[cls]
-        handlers.update(full)
 
     def _conventional_store(self, core: int, addr: int, value, requester,
                             tx):

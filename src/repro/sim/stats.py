@@ -99,15 +99,12 @@ class Stats:
     #: Memory operations serviced by the coherence protocol's private-hit
     #: fast path (see ``MemorySystem.fast_load`` and friends).
     host_fastpath_hits: int = 0
-    #: Memory operations that *attempted* the fast path and fell through to
-    #: the full protocol path. Not counted when the fast path is disabled
-    #: (obs mode, or the full-handler reference) or adaptively gated off — so
-    #: ``hits + misses`` is the number of genuine attempts.
+    #: Fast-path probes that returned no hit, so the op fell through to the
+    #: full protocol path. Counted where the probe returns ``None``, so
+    #: ``hits + misses`` is the number of probes. Ops that are never probed
+    #: (gathers, lazy transactional stores, every op under obs or the
+    #: test-only ``_NO_FASTPATH``) count as neither.
     host_fastpath_misses: int = 0
-    #: True when the engine's adaptive gate turned the fast path off
-    #: mid-run because the observed hit rate stayed below threshold after
-    #: the warmup window (host-only decision; simulated stats unchanged).
-    host_fastpath_gated: bool = False
     #: Scheduling quanta executed by the run-ahead scheduler — each batch
     #: is one heap transaction covering ``host_runahead_ops /
     #: host_runahead_batches`` simulated steps on one core. Counted on both
@@ -216,8 +213,8 @@ class Stats:
     def fastpath_hit_rate(self):
         """Fraction of fast-path *attempts* serviced by the private-hit fast
         path (host-side instrumentation). ``None`` when no attempt was made
-        — fast path forced off by the obs layer or the full-handler
-        reference, or the run was too short to attempt one — which is a
+        — probe turned off by the obs layer or the test-only
+        ``_NO_FASTPATH``, or the run was too short to attempt one — which is a
         different situation from "enabled but never hit" (0.0). Under the
         vector backend the counters cover only the strict (per-op) phases —
         epoch ops hit by construction and are not counted — so a ratio

@@ -282,7 +282,6 @@ def test_point_report_includes_obs_sections(monkeypatch):
     # Observed runs never attempt the coherence fast path, and the host
     # section spells the resulting None hit rate as "disabled".
     assert report["host"]["fastpath_hit_rate"] == "disabled"
-    assert report["host"]["fastpath_gated"] is False
     assert report["host"]["runahead_batches"] > 0
     assert report["host"]["runahead_ops_per_batch"] >= 1.0
     # Without obs the report still renders, minus the obs sections.

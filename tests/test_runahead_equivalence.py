@@ -11,11 +11,6 @@ excluded) — and, for a sharper check, record the full op-level
 interleaving trace of both schedulers and require it to be identical
 element by element, including when the scheduler is driven in small op
 budgets the way the vector backend drives it between epochs.
-
-The adaptive fast-path gate (``Engine._disable_fastpath``) is validated
-here too: it is driven purely by the attempt/hit sequence, which the
-trace tests prove is scheduler-independent, so gating composes with
-run-ahead without breaking bit-identity.
 """
 
 import pytest
@@ -103,52 +98,6 @@ def test_runahead_composes_with_obs_and_sanitize(name, mode, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive fast-path gate
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("runahead", [True, False],
-                         ids=["runahead", "stepped"])
-def test_gate_disables_fastpath_on_contended_baseline(runahead, monkeypatch):
-    """The baseline counter is the fast path's worst case (every store
-    contends): the gate must trip after warmup, record a sub-threshold
-    hit rate, and leave simulated results bit-identical to both the
-    never-attempted (``_NO_FASTPATH``) run and the other scheduler."""
-    gated = _run(MICROS["counter"], commtm=False, seed=1, runahead=runahead,
-                 monkeypatch=monkeypatch, total_ops=600)
-    assert gated.stats.host_fastpath_gated
-    assert gated.stats.fastpath_hit_rate is not None
-    assert gated.stats.fastpath_hit_rate < 0.5
-
-    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", True)
-    never = _run(MICROS["counter"], commtm=False, seed=1, runahead=runahead,
-                 monkeypatch=monkeypatch, total_ops=600)
-    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", False)
-    assert not never.stats.host_fastpath_gated
-    assert never.stats.fastpath_hit_rate is None
-    assert gated.cycles == never.cycles
-    assert gated.stats.comparable() == never.stats.comparable()
-
-
-def test_gate_decision_is_scheduler_independent(monkeypatch):
-    ahead = _run(MICROS["counter"], commtm=False, seed=1, runahead=True,
-                 monkeypatch=monkeypatch, total_ops=600)
-    stepped = _run(MICROS["counter"], commtm=False, seed=1, runahead=False,
-                   monkeypatch=monkeypatch, total_ops=600)
-    # Identical interleaving -> identical attempt/hit sequence -> the gate
-    # trips at the same op with the same observed rate.
-    assert ahead.stats.host_fastpath_gated
-    assert stepped.stats.host_fastpath_gated
-    assert ahead.stats.fastpath_hit_rate == stepped.stats.fastpath_hit_rate
-
-
-def test_gate_leaves_hit_dominated_workloads_alone(monkeypatch):
-    res = _run(MICROS["counter"], commtm=True, seed=1, runahead=True,
-               monkeypatch=monkeypatch, total_ops=600)
-    assert not res.stats.host_fastpath_gated
-    assert res.stats.fastpath_hit_rate > 0.9
-
-
-# ---------------------------------------------------------------------------
 # Op-level interleaving traces
 # ---------------------------------------------------------------------------
 
@@ -220,9 +169,6 @@ BUDGETS = (1, 3, 8)
 
 
 def _interleaving(build, *, commtm, seed, mode, monkeypatch):
-    # Pin the fast path off so the handler table stays stable (the gate
-    # rebinding mid-run would strip the recording wrappers).
-    monkeypatch.setattr(engine_mod, "_NO_FASTPATH", True)
     monkeypatch.setattr(engine_mod, "_NO_RUNAHEAD", mode == STEPPED)
     machine = Machine(small_config(num_cores=8, seed=seed,
                                    commtm_enabled=commtm))
